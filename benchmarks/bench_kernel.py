@@ -279,9 +279,9 @@ def generate(depths=(4, 5, 6, 7, 8)) -> dict:
             "struct-of-arrays arena vs. the prior object-node "
             "representation (throughput in interned ids/sec, tracemalloc "
             "peak bytes over the retained population, process peak RSS); "
-            "snapshot_cases round-trip solved systems through three "
-            "codecs (PR 5 object-walk replica, retained legacy format-1, "
-            "flat format-2 packed segments)."
+            "snapshot_cases round-trip solved systems through the "
+            "format-2 packed-segment codec against an object-walk "
+            "replica of the pre-arena codec."
         ),
         "cases": cases,
         "node_build_cases": node_build_cases,
@@ -294,8 +294,6 @@ def generate(depths=(4, 5, 6, 7, 8)) -> dict:
             for c in node_build_cases
         ),
         "min_snapshot_speedup": min(c["speedup"] for c in snapshot_cases),
-        # the scale case (last entry) carries the ≥5× acceptance bar
-        "snapshot_scale_speedup": snapshot_cases[-1]["speedup"],
     }
     return report
 
@@ -586,38 +584,18 @@ def _decode_roots_objects(data: dict, interner: dict) -> dict:
 
 def _snapshot_case(systems, depth: int, sample: int = 3) -> dict:
     """Snapshot round-trip (encode → json.dumps → json.loads → cold
-    decode) of a solved system set, three codecs:
+    decode) of a solved system set, two codecs:
 
-    * ``object_s`` — the PR 5 path: object-walk encode over the object
-      kernel, decode re-interning into a cold object interner;
-    * ``legacy_s`` — the retained format-1 codec run on today's arena
-      kernel (what a pre-arena file costs to load now);
-    * ``flat_s``  — the format-2 packed-segment codec with bulk splice.
+    * ``object_s`` — the pre-arena path: object-walk encode over the
+      object kernel, decode re-interning into a cold object interner;
+    * ``flat_s``  — the format-2 packed-segment codec.
 
-    Arena reps re-denote from a cold kernel first (untimed), so encode
+    Flat reps re-denote from a cold kernel first (untimed), so encode
     sees unmaterialised views — the state a real ``save()`` runs in."""
-    from repro.traces.snapshot import (
-        decode_roots,
-        decode_roots_legacy,
-        encode_roots,
-        encode_roots_legacy,
-    )
+    from repro.traces.snapshot import decode_roots, encode_roots
     from repro.traces.trie import arena_info, private_state
 
     names = [s.__name__.split(".")[-1] for s in systems]
-
-    def timed_arena(encode, decode) -> float:
-        best = float("inf")
-        for _ in range(3):
-            clear_interner()
-            reset_stats()
-            roots = _solve_roots(systems, depth, sample)
-            start = time.perf_counter()
-            blob = json.dumps(encode(roots))
-            with private_state():
-                decode(json.loads(blob))
-            best = min(best, time.perf_counter() - start)
-        return best
 
     clear_interner()
     reset_stats()
@@ -631,8 +609,16 @@ def _snapshot_case(systems, depth: int, sample: int = 3) -> dict:
         _decode_roots_objects(json.loads(blob), {})
         object_s = min(object_s, time.perf_counter() - start)
 
-    legacy_s = timed_arena(encode_roots_legacy, decode_roots_legacy)
-    flat_s = timed_arena(encode_roots, decode_roots)
+    flat_s = float("inf")
+    for _ in range(3):
+        clear_interner()
+        reset_stats()
+        roots = _solve_roots(systems, depth, sample)
+        start = time.perf_counter()
+        blob = json.dumps(encode_roots(roots))
+        with private_state():
+            decode_roots(json.loads(blob))
+        flat_s = min(flat_s, time.perf_counter() - start)
     case = {
         "case": f"snapshot round-trip {'+'.join(names)} depth={depth}",
         "systems": names,
@@ -640,17 +626,12 @@ def _snapshot_case(systems, depth: int, sample: int = 3) -> dict:
         "edges": info["edges"],
         "roots": len(roots),
         "object_s": round(object_s, 6),
-        "legacy_s": round(legacy_s, 6),
         "flat_s": round(flat_s, 6),
-        "speedup": round(legacy_s / flat_s, 2) if flat_s else float("inf"),
-        "speedup_vs_object": round(object_s / flat_s, 2)
-        if flat_s
-        else float("inf"),
+        "speedup": round(object_s / flat_s, 2) if flat_s else float("inf"),
     }
     print(
         f"{case['case']:<42} object {object_s * 1000:8.2f} ms   "
-        f"legacy {legacy_s * 1000:8.2f} ms   flat {flat_s * 1000:8.2f} ms   "
-        f"×{case['speedup']} (×{case['speedup_vs_object']} vs object)"
+        f"flat {flat_s * 1000:8.2f} ms   ×{case['speedup']}"
     )
     return case
 
@@ -739,17 +720,16 @@ def _engine_cache_case(depth: int) -> dict:
 
 
 def _process_jobs_case(p: int, depth: int, sample: int) -> dict:
-    """Thread-pool vs process-pool wall clock on twin heavyweight state
-    machines — two independent definitions over disjoint channels, each
+    """Sequential (``jobs=1``) vs forked-process (``jobs=2``) wall clock
+    on twin heavyweight state machines — two independent definitions over disjoint channels, each
     one strongly connected array SCC of ``p`` entries (the successor set
     ``{i+1, i+98, i+195, i+292} mod p`` contains ``+1``, so every entry
     reaches every other).  Both SCCs land at rank 0, one per worker.
 
-    Threads contend on the GIL for the pure-Python solve; processes
-    solve into private arenas and ship flat segments back, so the
-    speedup measures exactly what the splice path buys.  Roots are
-    asserted pointer-identical to a sequential solve before any timing
-    is recorded.
+    Processes solve into private arenas and ship flat segments back, so
+    the speedup over one in-process solve measures what forking buys net
+    of the splice.  Roots are asserted pointer-identical to a sequential
+    solve before any timing is recorded.
     """
     from repro.process.parser import parse_definitions
     from repro.semantics.engine import DenotationEngine
@@ -765,9 +745,7 @@ def _process_jobs_case(p: int, depth: int, sample: int) -> dict:
     cfg = SemanticsConfig(depth=depth, sample=sample)
 
     with private_state():
-        parallel_engine = DenotationEngine(
-            defs, None, cfg, jobs=2, parallel="processes"
-        )
+        parallel_engine = DenotationEngine(defs, None, cfg, jobs=2)
         parallel_engine.run()
         sequential = DenotationEngine(defs, None, cfg)
         sequential.run()
@@ -778,30 +756,28 @@ def _process_jobs_case(p: int, depth: int, sample: int) -> dict:
                     is sequential.closure_for(name, i).root
                 )
 
-    def timed(mode: str) -> float:
+    def timed(jobs: int) -> float:
         best = None
         for _ in range(2):
             with private_state():
                 start = time.perf_counter()
-                DenotationEngine(
-                    defs, None, cfg, jobs=2, parallel=mode
-                ).run()
+                DenotationEngine(defs, None, cfg, jobs=jobs).run()
                 elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
         return best
 
-    thread_s = timed("threads")
-    process_s = timed("processes")
+    sequential_s = timed(1)
+    process_s = timed(2)
     case = {
         "case": f"process-jobs twin-machines p={p} depth={depth}",
-        "thread_s": round(thread_s, 4),
+        "sequential_s": round(sequential_s, 4),
         "process_s": round(process_s, 4),
-        "speedup": round(thread_s / process_s, 2)
+        "speedup": round(sequential_s / process_s, 2)
         if process_s
         else float("inf"),
     }
     print(
-        f"{case['case']:<42} threads {thread_s * 1000:8.1f} ms   "
+        f"{case['case']:<42} sequential {sequential_s * 1000:8.1f} ms   "
         f"processes {process_s * 1000:8.1f} ms   ×{case['speedup']}"
     )
     return case
@@ -834,8 +810,8 @@ def generate_engine(depths=(4, 5, 6)) -> dict:
             "Dependency-graph denotation engine vs. monolithic "
             "approximation chain: (entry, level) denotations performed "
             "(deterministic), cold-vs-warm snapshot-cache wall clock, "
-            "and thread-pool vs process-pool wall clock on twin "
-            "heavyweight same-rank SCCs"
+            "and sequential (jobs=1) vs forked-process (jobs=2) wall "
+            "clock on twin heavyweight same-rank SCCs"
         ),
         "definition_level_cases": level_cases,
         "cache_cases": cache_cases,

@@ -21,12 +21,12 @@ Named message sets are declared with ``--set M=0,1``; the protocol's
 cancellation function is available as ``--with-cancel f``.
 
 ``traces``/``check``/``stats`` run on the dependency-graph denotation
-engine: ``--jobs N`` solves independent fixpoint components on worker
-threads (or worker *processes* with ``--parallel processes``, each
-solving into a private arena whose results are spliced back into the
-canonical store), and solved closures are snapshotted under
-``~/.cache/repro`` (override with ``--cache-dir``, disable with
-``--no-cache``) so repeated invocations on the same system warm-start.
+engine: ``--jobs N`` solves independent fixpoint components in forked
+worker processes, each solving into a private arena whose results are
+spliced back into the canonical store, and solved closures are
+snapshotted under ``~/.cache/repro`` (override with ``--cache-dir``,
+disable with ``--no-cache``) so repeated invocations on the same system
+warm-start.
 ``--engine operational`` warm-starts too: the explorer persists its BFS
 frontier per completed level (``frontier:{name}@level{k}`` slots in the
 same snapshot file), so a second run resumes from the deepest sound
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.assertions.parser import parse_assertion
@@ -114,30 +113,21 @@ def _open_cache(args: argparse.Namespace, defs, config):
     or ``None`` when caching is off.
 
     Under a budget governor the cache runs in **checkpoint-only** mode:
-    it serves and records nothing but ``fix:{name}@level{k}`` slots —
-    the per-completed-depth closures of the governed deepening schedule.
-    Each such slot is deterministic given the definitions and config
-    (never depends on where a budget tripped), so a tripped run resumes
-    from its own checkpoints on the next invocation while "how far did
-    the budget reach" stays invocation-deterministic; the general slot
-    vocabulary stays reserved for ungoverned runs.
+    it serves and records nothing but the per-completed-depth checkpoint
+    slots of the governed deepening schedule, so a tripped run resumes
+    from its own checkpoints on the next invocation
+    (:func:`repro.traces.snapshot.open_cache`).
     """
     if getattr(args, "no_cache", False):
         return None
-    from repro.traces.snapshot import SnapshotCache, cache_key
+    from repro.traces.snapshot import open_cache
 
-    directory = (
-        Path(args.cache_dir)
-        if getattr(args, "cache_dir", None)
-        else Path.home() / ".cache" / "repro"
-    )
-    extra = {
-        "sets": sorted(args.set or []),
-        "with_cancel": args.with_cancel,
-    }
-    return SnapshotCache(
-        directory,
-        cache_key(defs, config, extra),
+    return open_cache(
+        defs,
+        config,
+        cache_dir=getattr(args, "cache_dir", None),
+        sets=args.set,
+        with_cancel=args.with_cancel,
         checkpoint_only=_governor.current() is not None,
     )
 
@@ -214,7 +204,6 @@ def _remote(args: argparse.Namespace, op: str) -> int:
         with_cancel=args.with_cancel,
         engine=args.engine,
         jobs=args.jobs,
-        parallel=args.parallel,
         budget=budget,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
@@ -248,7 +237,6 @@ def cmd_traces(args: argparse.Namespace) -> int:
         config,
         engine=args.engine,
         jobs=args.jobs,
-        parallel=args.parallel,
         cache=cache,
     )
     result = checker.traces_partial(_target(args, defs))
@@ -274,7 +262,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         config,
         engine=args.engine,
         jobs=args.jobs,
-        parallel=args.parallel,
         cache=cache,
     )
     target = _target(args, defs)
@@ -320,7 +307,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         config,
         engine=args.engine,
         jobs=args.jobs,
-        parallel=args.parallel,
         cache=cache,
     )
     target = _target(args, defs)
@@ -334,7 +320,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 env,
                 config,
                 jobs=args.jobs,
-                parallel=args.parallel,
                 cache=cache,
             )
             print(engine.explain())
@@ -488,7 +473,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     supervisor = Supervisor(
         args.socket,
         jobs=args.jobs,
-        parallel=args.parallel,
         queue_limit=args.queue_limit,
         request_timeout=args.request_timeout,
         grace=args.grace,
@@ -572,15 +556,13 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=1,
                 metavar="N",
-                help="workers for independent fixpoint components",
+                help="worker processes for independent fixpoint components "
+                "(sequential on hosts without fork)",
             )
+            # Accepted for scripts written when --jobs had two worker
+            # flavours; forked processes are now the only one.
             p.add_argument(
-                "--parallel",
-                choices=("threads", "processes"),
-                default="threads",
-                help="worker flavour for --jobs: threads share the "
-                "canonical arena; processes solve into private arenas "
-                "whose packed segments are spliced back (default threads)",
+                "--parallel", choices=("processes",), help=argparse.SUPPRESS
             )
             p.add_argument(
                 "--cache-dir",
@@ -678,13 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help="worker processes, each holding a warm kernel (default 2)",
-    )
-    p.add_argument(
-        "--parallel",
-        choices=("threads", "processes"),
-        default="threads",
-        help="default engine worker flavour inside each serve worker "
-        "for requests that do not name one (default threads)",
     )
     p.add_argument(
         "--queue-limit",

@@ -373,13 +373,10 @@ class Governor:
 # ambient governor
 # ---------------------------------------------------------------------------
 
-# Deliberately a plain module global, *not* a thread-local: the
-# denotation engine's worker threads (``DenotationEngine(jobs=N)``) must
-# count nodes against — and be tripped by — the same budget as the
-# thread that activated it.  Unsynchronised counter increments can race,
-# but a race only *under*-counts slightly (budgets are resource limits,
-# not exact quotas), and a budget trip observed in any worker thread is
-# sound: it propagates to the parent as the original BudgetExceeded.
+# A plain module global, visible to every thread.  The denotation
+# engine's forked workers (``DenotationEngine(jobs=N)``) inherit it by
+# copy — counters and clock — so they trip at the same global
+# thresholds, and report their node deltas for the parent to charge.
 _ACTIVE: Optional[Governor] = None
 
 
@@ -396,9 +393,8 @@ def activate(governor: Optional[Governor]) -> Iterator[Optional[Governor]]:
     governor without branching.  Nesting replaces the outer governor for
     the inner region and restores it afterwards.
 
-    The installed governor is visible to *all* threads, including engine
-    worker threads spawned inside the ``with`` body — that sharing is
-    what makes budget trips sound under ``--jobs > 1``.
+    The installed governor is visible to *all* threads, and engine
+    worker processes forked inside the ``with`` body inherit it.
     """
     global _ACTIVE
     if governor is None:

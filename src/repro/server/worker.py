@@ -67,10 +67,6 @@ _WARM_ROOTS: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 #: consumer's own validation, exactly like blobs read from disk.
 _WARM_BLOBS: "OrderedDict[str, Dict[str, dict]]" = OrderedDict()
 
-#: Engine-parallel mode applied when a request does not carry one
-#: (``repro serve --parallel processes`` sets it pool-wide).
-_DEFAULT_PARALLEL = "threads"
-
 
 def _situation_key(request: Dict[str, Any]) -> str:
     """One string per semantic situation a checker can be reused for.
@@ -89,7 +85,6 @@ def _situation_key(request: Dict[str, Any]) -> str:
             request.get("with_cancel"),
             request.get("engine", "denotational"),
             request.get("jobs", 1),
-            request.get("parallel"),
             request.get("cache_dir"),
             bool(request.get("no_cache")),
         ],
@@ -201,30 +196,6 @@ class MemoryRootsCache:
             self.inner.save()
 
 
-def _open_cache(request: Dict[str, Any], defs: Any, config: Any, governed: bool):
-    """The snapshot cache for this request — same directory, key, and
-    checkpoint-only rules as :func:`repro.cli._open_cache`, so remote
-    and local invocations share slots."""
-    if request.get("no_cache"):
-        return None
-    from pathlib import Path
-
-    from repro.traces.snapshot import SnapshotCache, cache_key
-
-    directory = (
-        Path(request["cache_dir"])
-        if request.get("cache_dir")
-        else Path.home() / ".cache" / "repro"
-    )
-    extra = {
-        "sets": sorted(request.get("sets") or []),
-        "with_cancel": request.get("with_cancel"),
-    }
-    return SnapshotCache(
-        directory, cache_key(defs, config, extra), checkpoint_only=governed
-    )
-
-
 def _checker_for(request: Dict[str, Any], defs: Any, governed: bool):
     """A :class:`SatChecker` for this request — reused across requests
     when ungoverned (governed runs need fresh checkpoint-only caches and
@@ -243,7 +214,20 @@ def _checker_for(request: Dict[str, Any], defs: Any, governed: bool):
     env = environment_from_options(
         request.get("sets") or [], request.get("with_cancel")
     )
-    cache = _open_cache(request, defs, config, governed)
+    cache = None
+    if not request.get("no_cache"):
+        # The CLI opens its cache through the same helper, so remote and
+        # local invocations share slots.
+        from repro.traces.snapshot import open_cache
+
+        cache = open_cache(
+            defs,
+            config,
+            cache_dir=request.get("cache_dir"),
+            sets=request.get("sets"),
+            with_cancel=request.get("with_cancel"),
+            checkpoint_only=governed,
+        )
     if not governed:
         # Ungoverned checkers cache through the shared-roots layer, so a
         # system a sibling worker already solved warm-starts here too.
@@ -258,7 +242,6 @@ def _checker_for(request: Dict[str, Any], defs: Any, governed: bool):
         config,
         engine=request.get("engine", "denotational"),
         jobs=int(request.get("jobs") or 1),
-        parallel=request.get("parallel") or _DEFAULT_PARALLEL,
         cache=cache,
     )
     if key is not None:
@@ -387,9 +370,9 @@ def adopt_roots(request: Dict[str, Any]) -> Dict[str, Any]:
     situation restores them instead of solving.
 
     Splicing validates the payload fully — a torn or corrupt segment
-    raises and becomes an ``ERROR`` response, leaving the arena exactly
-    as it was (the bulk path appends only after validation), so a worker
-    can never be poisoned by a bad warm frame."""
+    raises and becomes an ``ERROR`` response, and every row is validated
+    before it is interned (whatever a rejected frame left behind is
+    canonical), so a worker can never be poisoned by a bad warm frame."""
     from repro.traces.snapshot import splice_segments
 
     rid = request.get("id")
@@ -488,15 +471,7 @@ def main(argv: Optional[list] = None) -> int:
         metavar="SITE[:AFTER]",
         help="arm a deterministic fault plan in this worker (chaos tests)",
     )
-    parser.add_argument(
-        "--parallel",
-        choices=("threads", "processes"),
-        default="threads",
-        help="engine-parallel mode for requests that carry none",
-    )
     args = parser.parse_args(argv)
-    global _DEFAULT_PARALLEL
-    _DEFAULT_PARALLEL = args.parallel
     sock = socket.socket(fileno=args.fd)
     if args.inject:
         with _faults.inject(_faults.parse_plan(args.inject)):

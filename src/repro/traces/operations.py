@@ -57,8 +57,8 @@ from repro.traces.trie import (
 #: components or pass an explicit small ``depth``.
 MAX_DISJOINT_PRODUCT = 250_000
 
-# Memo tables live in the kernel state (per-thread during engine worker
-# runs); each public operator resolves its tables once — its own and the
+# Memo tables live in the kernel state (private inside engine worker
+# processes); each public operator resolves its tables once — its own and the
 # union table its recursion leans on — and threads them through.
 
 

@@ -10,15 +10,11 @@ deduplicated event table.  This mirrors the arena's own
 struct-of-arrays layout (ascending arena ids *are* a post-order, since
 children are always interned before parents), so encoding is a linear
 copy of int spans and never materialises a view object per node.
-Decoding re-interns every node — through
-:meth:`~repro.traces.trie.Arena.intern` row by row, or, when numpy is
-available and every decoded node is fresh, through a vectorised
-validation pass and one :meth:`~repro.traces.trie.Arena.append_rows`
-splice that registers byte-identical interner keys.  Either way a
-snapshot can never introduce a non-canonical node, only save the work
-of building canonical ones; stored counts/heights are verified against
-the edge tables (the recurrence has a unique solution over a
-post-order, so node-local consistency proves them), never trusted.
+Decoding re-interns every node, row by row, through
+:meth:`~repro.traces.trie.Arena.intern`, so a snapshot can never
+introduce a non-canonical node, only save the work of building
+canonical ones; stored counts/heights are checked against the values
+the interner derives, never trusted.
 
 A snapshot is trusted only as a cache, never as truth:
 
@@ -33,11 +29,10 @@ A snapshot is trusted only as a cache, never as truth:
   snapshot and rebuilds from scratch (``SnapshotCache.rebuilt`` reports
   that this happened).
 
-Format 1 (the object-walk node-list layout of earlier releases) is still
-*read*: the cache key deliberately hashes :data:`KEY_VERSION`, not the
-file format, so a pre-arena snapshot keeps its filename and is loaded
-through the retained legacy codec, then rewritten in format
-:data:`FORMAT_VERSION` on the next save.
+Only format :data:`FORMAT_VERSION` is read.  A file in any other format
+(including format 1, the nested node-list layout of pre-arena releases)
+fails the version check and is quarantined and rebuilt like any other
+defective file.
 
 Writes are atomic and *durable* (temp file + ``fsync`` + ``os.replace``)
 and failures to persist are swallowed: a read-only cache directory
@@ -64,7 +59,6 @@ import json
 import os
 import re
 import tempfile
-from array import array
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -74,25 +68,20 @@ from repro.errors import ReproError
 from repro.runtime import faults as _faults
 from repro.runtime import governor as _governor
 from repro.traces.events import Event
-from repro.traces.trie import ClosureNode, current_state, make_node, node_id
+from repro.traces.trie import ClosureNode, current_state, node_id
 
 try:  # POSIX cross-process advisory locking; absent → single-writer hosts
     import fcntl
 except ImportError:  # pragma: no cover - all CI hosts are POSIX
     fcntl = None
 
-try:  # optional accelerator: vectorised validation + bulk decode
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
-#: On-disk layout version.  2 = flat arena segments; 1 = legacy
-#: nested node list (read-only).
+#: On-disk layout version: 2 = flat arena segments.
 FORMAT_VERSION = 2
 
 #: Cache-*key* schema version, hashed into :func:`cache_key`.  Kept
-#: separate from :data:`FORMAT_VERSION` so a pure layout change does not
-#: orphan existing snapshot files — bump it only when the *meaning* of a
+#: separate from :data:`FORMAT_VERSION`: the key names the situation, the
+#: format names the layout, so a pure layout change rebuilds each file in
+#: place under its old name — bump this only when the *meaning* of a
 #: slot's content changes.  Version 2: chan-bearing definition lists are
 #: solved at ``hide_depth`` and truncated on export, so ``fix:`` slots
 #: for such systems now hold deeper roots than version-1 writers stored.
@@ -108,19 +97,11 @@ def encode_roots(roots: Dict[str, ClosureNode]) -> dict:
     """Encode named closure roots as flat post-order arena segments.
 
     Shared subtrees are written once, preserving the kernel's sharing in
-    the file: snapshot size tracks *distinct* nodes, not traces.  The
-    encoder exploits two arena invariants:
-
-    * ids are assigned children-first, so the reachable ids sorted
-      ascending **are** a valid post-order — no DFS bookkeeping;
-    * within a node's span, edges ascend by event id, and file event
-      indices are assigned by event-id *rank*, so each emitted edge list
-      ascends by file event index too (the decoder's fast path checks,
-      then relies on, this).
-
-    With numpy available the reachability sweep and the segment copy are
-    vectorised gathers over the arena arrays; the pure-Python path emits
-    byte-identical payloads.
+    the file: snapshot size tracks *distinct* nodes, not traces.  Arena
+    ids are assigned children-first, so the reachable ids sorted
+    ascending **are** a valid post-order — no DFS bookkeeping.  File
+    event indices are assigned by event-id rank, so each emitted edge
+    list ascends by file event index.
     """
     arena = None
     for root in roots.values():
@@ -130,13 +111,6 @@ def encode_roots(roots: Dict[str, ClosureNode]) -> dict:
     if arena is None:
         arena = current_state().arena
     root_ids = {slot: node_id(root, arena) for slot, root in roots.items()}
-    if _np is not None:
-        return _encode_bulk(arena, root_ids)
-    return _encode_sequential(arena, root_ids)
-
-
-def _encode_sequential(arena, root_ids: Dict[str, int]) -> dict:
-    """Pure-Python encoder (numpy-less hosts); same payload bytes."""
     edge_events = arena.edge_events
     edge_children = arena.edge_children
     edge_start = arena.edge_start
@@ -188,75 +162,6 @@ def _encode_sequential(arena, root_ids: Dict[str, int]) -> dict:
     }
 
 
-def _as_i32(values) -> "array":
-    """A native ``array('i')`` spliced from a numpy buffer (C-level)."""
-    out = array("i")
-    out.frombytes(values.astype(_np.int32, copy=False).tobytes())
-    return out
-
-
-def _encode_bulk(arena, root_ids: Dict[str, int]) -> dict:
-    """Vectorised encoder: frontier reachability sweep + ragged gather."""
-    np = _np
-    es = np.frombuffer(arena.edge_start, dtype=np.int32).astype(np.int64)
-    el = np.frombuffer(arena.edge_len, dtype=np.int32).astype(np.int64)
-    ee = np.frombuffer(arena.edge_events, dtype=np.int32)
-    ec = np.frombuffer(arena.edge_children, dtype=np.int32)
-
-    n = arena.node_count()
-    seen = np.zeros(n, dtype=bool)
-    frontier = np.unique(np.fromiter(root_ids.values(), dtype=np.int64))
-    seen[frontier] = True
-    mark = np.zeros(n, dtype=bool)  # per-wave dedupe scratch (no sorting)
-    while frontier.size:
-        lens = el[frontier]
-        total = int(lens.sum())
-        if not total:
-            break
-        starts = es[frontier]
-        offs = np.zeros(frontier.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=offs[1:])
-        idx = np.repeat(starts - offs, lens) + np.arange(total)
-        children = ec[idx]
-        mark[:] = False
-        mark[children[~seen[children]]] = True
-        frontier = np.flatnonzero(mark)
-        seen[frontier] = True
-
-    order = np.flatnonzero(seen)  # ascending ids = valid post-order
-    lens = el[order]
-    total = int(lens.sum())
-    offs = np.zeros(order.size, dtype=np.int64)
-    np.cumsum(lens[:-1], out=offs[1:])
-    idx = np.repeat(es[order] - offs, lens) + np.arange(total)
-    ev = ee[idx]
-    ch = ec[idx]
-
-    used_eids = np.unique(ev)
-    rank = np.zeros(int(used_eids[-1]) + 1 if used_eids.size else 1, dtype=np.int32)
-    rank[used_eids] = np.arange(used_eids.size, dtype=np.int32)
-    position = np.zeros(int(order[-1]) + 1 if order.size else 1, dtype=np.int32)
-    position[order] = np.arange(order.size, dtype=np.int32)
-
-    counts = array("q")
-    counts.frombytes(
-        np.frombuffer(arena.counts, dtype=np.int64)[order].tobytes()
-    )
-    heights = np.frombuffer(arena.heights, dtype=np.int32)[order]
-
-    return {
-        "events": [serialize.encode(arena.events[int(e)]) for e in used_eids],
-        "arity": serialize.pack_ints(_as_i32(lens)),
-        "edge_events": serialize.pack_ints(_as_i32(rank[ev])),
-        "edge_children": serialize.pack_ints(_as_i32(position[ch])),
-        "counts": serialize.pack_ints64(counts),
-        "heights": serialize.pack_ints(_as_i32(heights)),
-        "roots": {
-            slot: int(position[rid]) for slot, rid in root_ids.items()
-        },
-    }
-
-
 def decode_roots(data: dict) -> Dict[str, ClosureNode]:
     """Decode :func:`encode_roots` output, re-interning every node into
     the current kernel state's arena.
@@ -265,7 +170,9 @@ def decode_roots(data: dict) -> Dict[str, ClosureNode]:
     returns partially decoded state.  Nothing from the file is trusted:
     segments must align, every child index must respect post-order,
     every event index must hit the table, and every node goes back
-    through the interner's packed-key gate.
+    through the interner's packed-key gate.  Rows are validated before
+    they are interned, so a payload rejected halfway leaves behind only
+    canonical nodes.
     """
     try:
         events = [serialize.decode(e) for e in data["events"]]
@@ -293,20 +200,20 @@ def decode_roots(data: dict) -> Dict[str, ClosureNode]:
             )
         arena = current_state().arena
         eids = [arena.intern_event(e) for e in events]
-        ids: Optional[List[int]] = None
-        if _np is not None and len(arity) and array("i").itemsize == 4:
-            ids = _decode_bulk(
-                arena, eids, arity, flat_events, flat_children, counts, heights
-            )
-        if ids is None:
-            ids = _decode_sequential(
-                arena, eids, arity, flat_events, flat_children, counts, heights
-            )
+        base = arena.node_count()
+        ids = _intern_rows(
+            arena, eids, arity, flat_events, flat_children, counts, heights
+        )
         # ``ids`` is the remap table of this splice — payload-local
         # post-order index to canonical arena id.
         from repro.traces.stats import KERNEL_STATS
 
         KERNEL_STATS.remap_entries += len(ids)
+        KERNEL_STATS.spliced_ids += arena.node_count() - base
+        KERNEL_STATS.spliced_bytes += sum(
+            len(segment) * segment.itemsize
+            for segment in (arity, flat_events, flat_children, counts, heights)
+        )
         roots: Dict[str, ClosureNode] = {}
         for slot, idx in data["roots"].items():
             if not isinstance(slot, str) or not 0 <= idx < len(ids):
@@ -321,15 +228,12 @@ def decode_roots(data: dict) -> Dict[str, ClosureNode]:
         raise SnapshotError(f"malformed snapshot payload: {exc!r}") from exc
 
 
-def _decode_sequential(
-    arena, eids, arity, flat_events, flat_children, counts, heights
-):
-    """Per-node decode through :meth:`Arena.intern` — the path every
-    host has, and the fallback whenever the bulk path cannot apply
-    (numpy missing, nodes already interned, odd payloads).  The file's
-    ``counts``/``heights`` segments are cross-checked against the values
-    the interner derives — a node whose stored metadata disagrees with
-    its own edge tables rejects the whole payload."""
+def _intern_rows(arena, eids, arity, flat_events, flat_children, counts, heights):
+    """Intern the payload's rows in post-order through
+    :meth:`Arena.intern`, returning payload index → arena id.  The
+    file's ``counts``/``heights`` segments are cross-checked against the
+    values the interner derives — a node whose stored metadata disagrees
+    with its own edge tables rejects the whole payload."""
     n_events = len(eids)
     ids: List[int] = []
     append = ids.append
@@ -371,122 +275,6 @@ def _decode_sequential(
     return ids
 
 
-def _decode_bulk(arena, eids, arity, flat_events, flat_children, counts, heights):
-    """Vectorised decode: validate every structural property of the
-    payload with numpy, then splice whole segments into the arena via
-    :meth:`Arena.append_rows`.
-
-    Validation is *not* weakened — bounds, post-order, per-node event
-    sortedness/distinctness, counts/heights consistency, and
-    interner-key freshness are all checked before a single byte is
-    appended; the packed keys registered are byte-identical to what
-    per-node :meth:`Arena.intern` would compute, so the decoded rows are
-    canonical by construction.  The ``counts``/``heights`` recurrences
-    have exactly one solution over a post-order file, so checking each
-    node's stored value against its children's stored values — one
-    ``reduceat`` sweep, no fixpoint — proves the segments correct before
-    they are spliced in verbatim.  Returns ``None`` (caller falls back
-    to the sequential path) whenever the batch cannot be appended
-    wholesale: per-node events arrive unsorted, the file repeats a node,
-    or any node is already interned (warm arena).
-    """
-    np = _np
-    arity_np = np.frombuffer(arity, dtype=np.int32)
-    fe = np.frombuffer(flat_events, dtype=np.int32)
-    fc = np.frombuffer(flat_children, dtype=np.int32)
-    n_nodes = len(arity_np)
-    if arity_np.size and int(arity_np.min()) < 0:
-        i = int(np.argmin(arity_np))
-        raise SnapshotError(f"negative arity {int(arity_np[i])} at node {i}")
-    node_of_edge = np.repeat(np.arange(n_nodes, dtype=np.int64), arity_np)
-    n_events = len(eids)
-    bad = (fe < 0) | (fe >= n_events)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise SnapshotError(
-            f"bad event index {int(fe[k])} at node {int(node_of_edge[k])}"
-        )
-    bad = (fc < 0) | (fc >= node_of_edge)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise SnapshotError(f"child index {int(fc[k])} breaks post-order")
-
-    loc = np.asarray(eids, dtype=np.int64)[fe] if fe.size else fe.astype(np.int64)
-    within = node_of_edge[1:] == node_of_edge[:-1]
-    step = loc[1:] - loc[:-1]
-    if bool(np.any((step < 0) & within)):
-        return None  # events unsorted inside a node: sort + re-validate
-    dup = (step == 0) & within
-    if bool(dup.any()):
-        k = int(np.flatnonzero(dup)[0])
-        raise SnapshotError(
-            f"duplicate event on node {int(node_of_edge[k])}: two edges "
-            f"share one event index"
-        )
-
-    new_mask = arity_np > 0
-    n_new = int(new_mask.sum())
-    counts_np = np.frombuffer(counts, dtype=np.int64)
-    heights_np = np.frombuffer(heights, dtype=np.int32).astype(np.int64)
-    leaf_rows = ~new_mask
-    if not (
-        bool(np.all(counts_np[leaf_rows] == 1))
-        and bool(np.all(heights_np[leaf_rows] == 0))
-    ):
-        raise SnapshotError("counts/heights disagree with edge tables")
-    if n_new == 0:
-        return [0] * n_nodes
-    edge_offs = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(arity_np, out=edge_offs[1:])
-    starts = edge_offs[:-1][new_mask]
-    # One sweep suffices: children precede parents, and the count/height
-    # recurrences have a unique solution, so node-local consistency of
-    # the *stored* values proves them all correct.
-    want_counts = 1 + np.add.reduceat(counts_np[fc], starts)
-    want_heights = np.maximum.reduceat(heights_np[fc] + 1, starts)
-    if not (
-        np.array_equal(want_counts, counts_np[new_mask])
-        and np.array_equal(want_heights, heights_np[new_mask])
-    ):
-        raise SnapshotError("counts/heights disagree with edge tables")
-
-    base = arena.node_count()
-    if base + n_new > 2**31 - 1 or len(arena.edge_events) + fe.size > 2**31 - 1:
-        return None  # would overflow 32-bit segments (absurd scale)
-    ids_np = np.zeros(n_nodes, dtype=np.int64)
-    ids_np[new_mask] = base + np.arange(n_new, dtype=np.int64)
-    cid = ids_np[fc]
-    loc32 = loc.astype(np.int32)
-    interleaved = np.empty(2 * fe.size, dtype=np.int32)
-    interleaved[0::2] = loc32
-    interleaved[1::2] = cid.astype(np.int32)
-    buf = interleaved.tobytes()
-
-    byte_offs = (edge_offs * 8).tolist()
-    keys = [buf[a:b] for a, b in zip(byte_offs, byte_offs[1:]) if a != b]
-    interner = arena.interner
-    distinct = set(keys)
-    if len(distinct) != n_new or not interner.keys().isdisjoint(distinct):
-        return None  # repeated or already-interned nodes: dedupe per node
-
-    arena_starts = len(arena.edge_events) + starts
-    got = arena.append_rows(
-        n_new,
-        loc32.tobytes(),
-        interleaved[1::2].tobytes(),
-        arena_starts.astype(np.int32).tobytes(),
-        arity_np[new_mask].tobytes(),
-        counts_np[new_mask].tobytes(),
-        heights_np[new_mask].astype(np.int32).tobytes(),
-        keys,
-    )
-    assert got == base
-    from repro.traces.stats import KERNEL_STATS
-
-    KERNEL_STATS.interner_hits += n_nodes - n_new
-    return ids_np.tolist()
-
-
 def _decode_blobs(data: Any) -> Dict[str, dict]:
     """Structural check of a snapshot's blob table: absent is fine, and
     present means an object mapping slot names to objects.  Content
@@ -509,9 +297,8 @@ def export_segments(roots: Dict[str, ClosureNode]) -> dict:
 
     This is :func:`encode_roots` by another name: the wire layout and
     the file layout are deliberately the same format-2 segments, so the
-    process dispatcher and the solved-system share path reuse the
-    vectorised codec (and its validation on the receiving side) without
-    a second format.
+    process dispatcher and the solved-system share path reuse the one
+    codec (and its validation on the receiving side).
     """
     return encode_roots(roots)
 
@@ -530,87 +317,6 @@ def splice_segments(payload: dict) -> Dict[str, ClosureNode]:
         return decode_roots(payload)
 
 
-# ---------------------------------------------------------------------------
-# legacy format-1 codec (read path only)
-# ---------------------------------------------------------------------------
-
-
-def encode_roots_legacy(roots: Dict[str, ClosureNode]) -> dict:
-    """The format-1 object-walk encoder — kept for the legacy round-trip
-    tests and the snapshot codec benchmark; :meth:`SnapshotCache.save`
-    always writes format 2."""
-    events: List[Event] = []
-    event_index: Dict[Event, int] = {}
-    nodes: List[List[List[int]]] = []
-    node_index: Dict[int, int] = {}
-
-    def event_id(event: Event) -> int:
-        idx = event_index.get(event)
-        if idx is None:
-            idx = event_index[event] = len(events)
-            events.append(event)
-        return idx
-
-    for root in roots.values():
-        if id(root) in node_index:
-            continue
-        stack: List[Tuple[ClosureNode, bool]] = [(root, False)]
-        while stack:
-            current, expanded = stack.pop()
-            if id(current) in node_index:
-                continue
-            if expanded:
-                node_index[id(current)] = len(nodes)
-                nodes.append(
-                    [
-                        [event_id(event), node_index[id(child)]]
-                        for event, child in current.items
-                    ]
-                )
-                continue
-            stack.append((current, True))
-            for _, child in current.items:
-                if id(child) not in node_index:
-                    stack.append((child, False))
-
-    return {
-        "events": [serialize.encode(e) for e in events],
-        "nodes": nodes,
-        "roots": {slot: node_index[id(root)] for slot, root in roots.items()},
-    }
-
-
-def decode_roots_legacy(data: dict) -> Dict[str, ClosureNode]:
-    """Decode a format-1 payload (nested node list), re-interning every
-    node — pre-arena snapshots stay loadable under the same cache key."""
-    try:
-        events = [serialize.decode(e) for e in data["events"]]
-        if not all(isinstance(e, Event) for e in events):
-            raise SnapshotError("event table holds a non-event")
-        decoded: List[ClosureNode] = []
-        for entry in data["nodes"]:
-            children = {}
-            for event_idx, child_idx in entry:
-                if not 0 <= child_idx < len(decoded):
-                    raise SnapshotError(
-                        f"child index {child_idx} breaks post-order"
-                    )
-                children[events[event_idx]] = decoded[child_idx]
-            decoded.append(make_node(children))
-        roots: Dict[str, ClosureNode] = {}
-        for slot, idx in data["roots"].items():
-            if not isinstance(slot, str) or not 0 <= idx < len(decoded):
-                raise SnapshotError(f"bad root entry {slot!r}: {idx!r}")
-            roots[slot] = decoded[idx]
-        return roots
-    except SnapshotError:
-        raise
-    except (serialize.SerializationError, ReproError) as exc:
-        raise SnapshotError(f"undecodable snapshot payload: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise SnapshotError(f"malformed snapshot payload: {exc!r}") from exc
-
-
 def cache_key(definitions: Any, config: Any, extra: Any = None) -> str:
     """Content hash identifying one semantic situation.
 
@@ -620,8 +326,7 @@ def cache_key(definitions: Any, config: Any, extra: Any = None) -> str:
     bindings, protocol flags).  Hash collisions aside, equal keys imply
     equal denotations — the invariant the cache relies on.  The hashed
     version is :data:`KEY_VERSION`, not the file layout version, so
-    re-encoding the same content in a newer layout keeps the key (and
-    the legacy fallback reachable).
+    re-encoding the same content in a newer layout keeps the key.
     """
     payload = {
         "version": KEY_VERSION,
@@ -747,14 +452,9 @@ class SnapshotCache:
         if data.get("key") != self.key:
             raise SnapshotError("key mismatch")
         fmt = data.get("format")
-        if fmt == FORMAT_VERSION:
-            return decode_roots(data), _decode_blobs(data.get("blobs"))
-        if fmt == 1:
-            # Pre-arena snapshot under the same content key: load it
-            # through the legacy codec; the next save rewrites flat.
-            # Format 1 predates blobs.
-            return decode_roots_legacy(data), {}
-        raise SnapshotError(f"format {fmt!r}")
+        if fmt != FORMAT_VERSION:
+            raise SnapshotError(f"format {fmt!r}")
+        return decode_roots(data), _decode_blobs(data.get("blobs"))
 
     def _quarantine(self) -> None:
         """Move the defective file to ``<cache>/quarantine/`` — rebuilt,
@@ -909,3 +609,31 @@ class SnapshotCache:
         except OSError:
             return
         self._dirty = False
+
+
+def open_cache(
+    definitions: Any,
+    config: Any,
+    cache_dir: Optional[str] = None,
+    sets: Any = (),
+    with_cancel: Optional[str] = None,
+    checkpoint_only: bool = False,
+) -> SnapshotCache:
+    """The snapshot cache for one (definitions, config, bindings)
+    situation — the single place the CLI and ``repro serve`` workers
+    derive the directory and key from, so local and remote invocations
+    share slots.  The directory defaults to ``~/.cache/repro``.
+
+    ``sets``/``with_cancel`` are the ``--set``/``--with-cancel``
+    bindings (``sets`` is sorted here, so binding order never changes
+    the key).  Governed runs pass ``checkpoint_only=True``: the cache
+    then serves and records only the deterministic checkpoint slots
+    (see :class:`SnapshotCache`), so "how far did the budget reach"
+    stays invocation-deterministic.
+    """
+    extra = {"sets": sorted(sets or []), "with_cancel": with_cancel}
+    return SnapshotCache(
+        Path(cache_dir) if cache_dir else Path.home() / ".cache" / "repro",
+        cache_key(definitions, config, extra),
+        checkpoint_only=checkpoint_only,
+    )

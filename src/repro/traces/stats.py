@@ -75,12 +75,13 @@ class KernelStats:
         self.delta_capped = 0
         #: Fresh subtrees enumerated across all frontier walks.
         self.frontier_nodes = 0
-        #: Node ids admitted through :meth:`Arena.append_rows` — segments
-        #: spliced wholesale from a snapshot, a worker process, or a
-        #: shared solved-system payload (never row-by-row interning).
+        #: Node ids newly interned by
+        #: :func:`repro.traces.snapshot.decode_roots` — segments spliced
+        #: in from a snapshot file, a worker process, or a shared
+        #: solved-system payload.
         self.spliced_ids = 0
-        #: Raw segment bytes those splices appended (edge tables, spans,
-        #: counts, heights) — the cross-process shared-memory traffic.
+        #: Raw segment bytes those splices decoded (arity, edge tables,
+        #: counts, heights) — the cross-process segment traffic.
         self.spliced_bytes = 0
         #: Non-trivial id remappings performed by
         #: :func:`repro.traces.trie.reintern` — the total size of the
@@ -219,8 +220,8 @@ def format_stats() -> str:
     spliced = snap["spliced"]
     if spliced["ids"] or spliced["remap_entries"]:
         lines.append(
-            f"  spliced segments: {spliced['ids']} ids in "
-            f"{spliced['bytes']} bytes appended via bulk splice, "
+            f"  spliced segments: {spliced['ids']} new ids interned from "
+            f"{spliced['bytes']} decoded segment bytes, "
             f"{spliced['remap_entries']} remap-table entries"
         )
     frontiers = snap["frontiers"]

@@ -5,7 +5,7 @@ The engine's contract is *exact* reproduction of the monolithic
 roots per definition (and per sampled array subscript) — while spending
 strictly fewer definition-level denotations.  These tests check that
 contract on the full systems suite, plus the engine-specific behaviours:
-SCC plans, delta accounting, worker threads, budget soundness, and loud
+SCC plans, delta accounting, worker processes, budget soundness, and loud
 failure on unscheduled bindings.
 """
 
@@ -165,16 +165,18 @@ class TestErrors:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_worker_errors_keep_their_class(self, jobs):
         # multiplier's environment carries the vector host function; drop
-        # it so every SCC's denotation fails, including on worker threads.
-        # The caller must see the *original* exception class — thread
-        # workers never launder errors the way a pickled process pool does.
+        # it so every SCC's denotation fails, including in forked worker
+        # processes.  The caller must see the *original* exception class
+        # and attributes — the pipe rebuilds errors by kind, it never
+        # launders them into a generic failure.
         from repro.errors import UnboundVariableError
         from repro.values.environment import Environment
 
         defs = multiplier.definitions()
         engine = DenotationEngine(defs, Environment(), CFG, jobs=jobs)
-        with pytest.raises(UnboundVariableError, match="'v'"):
+        with pytest.raises(UnboundVariableError, match="'v'") as excinfo:
             engine.run()
+        assert excinfo.value.name == "v"
 
 
 class TestBudgets:
@@ -228,7 +230,7 @@ class TestHorizonSkips:
         chain = ApproximationChain(defs, env, self.DEEP)
         _assert_pointer_identical(chain.fixpoint(), engine)
 
-    def test_horizon_skips_survive_worker_threads(self):
+    def test_horizon_skips_survive_worker_processes(self):
         defs, env = protocol.definitions(), protocol.environment()
         engine = DenotationEngine(defs, env, self.DEEP, jobs=2)
         engine.run()

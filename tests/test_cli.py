@@ -1,5 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -389,6 +393,8 @@ class TestEngineFlags:
     """--jobs / --cache-dir / --no-cache / --explain-plan plumbing."""
 
     def test_jobs_two_traces_identical(self, copier_file, capsys):
+        from repro.traces.stats import KERNEL_STATS, reset_stats
+
         assert (
             main(
                 ["traces", copier_file, "--process", "copier", "--depth", "3",
@@ -397,6 +403,7 @@ class TestEngineFlags:
             == 0
         )
         sequential = capsys.readouterr().out
+        reset_stats()
         assert (
             main(
                 ["traces", copier_file, "--process", "copier", "--depth", "3",
@@ -405,6 +412,26 @@ class TestEngineFlags:
             == 0
         )
         assert capsys.readouterr().out == sequential
+        if hasattr(os, "fork"):
+            # copier and recopier share a rank: forked workers solved them
+            # and the parent spliced their segments back (onto nodes the
+            # sequential run already interned, hence remaps, not new ids).
+            assert KERNEL_STATS.remap_entries > 0
+        reset_stats()
+
+    def test_parallel_flag_is_a_hidden_no_op(self, copier_file, capsys):
+        argv = ["traces", copier_file, "--process", "copier", "--depth", "3",
+                "--jobs", "2", "--no-cache"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--parallel", "processes"]) == 0
+        assert capsys.readouterr().out == plain
+        with pytest.raises(SystemExit):
+            main(argv + ["--parallel", "threads"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["traces", "--help"])
+        assert "--parallel" not in capsys.readouterr().out
 
     def test_check_warm_cache_second_run(self, copier_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
@@ -490,7 +517,7 @@ class TestEngineFlags:
 
     def test_worker_error_exit_code_without_debug(self, tmp_path, capsys):
         # two independent recursive definitions over an unbound set: both
-        # SCCs fail during denotation (on worker threads with --jobs 2),
+        # SCCs fail during denotation (in worker processes with --jobs 2),
         # and the CLI must still map the error to the semantics exit code
         path = tmp_path / "unbound.csp"
         path.write_text("p = a?x:S -> p; q = b?y:S -> q")
@@ -513,6 +540,22 @@ class TestEngineFlags:
             )
 
 
+class TestImportCost:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # Every CLI invocation pays this import; the snapshot codec is
+        # pure Python, so nothing on the path may pull numpy in.
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert probe.stdout.strip() == "False"
+
+
 class TestServeParser:
     """The serve/--server surface (daemon behavior itself is covered by
     tests/server/)."""
@@ -525,6 +568,12 @@ class TestServeParser:
     def test_serve_requires_socket(self):
         with pytest.raises(SystemExit):
             self._parse(["serve"])
+
+    def test_serve_has_no_parallel_flag(self):
+        # serve workers fork for --jobs like every other command.
+        with pytest.raises(SystemExit):
+            self._parse(["serve", "--socket", "/tmp/r.sock",
+                         "--parallel", "processes"])
 
     def test_serve_defaults(self):
         args = self._parse(["serve", "--socket", "/tmp/repro.sock"])

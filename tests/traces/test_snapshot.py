@@ -5,8 +5,8 @@ decoded node goes back through the arena interner (so it is canonical by
 construction), and any structural defect — corrupt JSON, unaligned or
 undecodable packed segments, dangling indices, wrong format version,
 wrong content key — silently discards the file and rebuilds from
-scratch.  Format-1 (pre-arena) payloads under the same content key must
-keep loading through the legacy codec.
+scratch.  Format-1 (pre-arena) payloads under the same content key are
+just another unknown format: quarantined and rebuilt.
 """
 
 import json
@@ -25,7 +25,7 @@ from repro.traces.snapshot import (
     cache_key,
     decode_roots,
     encode_roots,
-    encode_roots_legacy,
+    open_cache,
 )
 from repro.traces.trie import private_state
 
@@ -161,51 +161,45 @@ class TestDecodeRejectsDefects:
             decode_roots({"events": "nope", "arity": 3, "roots": []})
 
 
-class TestLegacyFormat:
-    """Format-1 files (pre-arena object-walk layout) share the content
-    key with format-2 files, so they must keep loading — through the
-    legacy codec, re-interned into the current arena."""
+class TestFormatOne:
+    """Format-1 files (the pre-arena nested node-list layout) share the
+    content key with format-2 files but are no longer read: the version
+    check rejects them like any unknown format."""
 
-    def _write_legacy(self, tmp_path, key, roots):
-        data = encode_roots_legacy(roots)
-        data["format"] = 1
-        data["key"] = key
-        path = tmp_path / f"snapshot-{key}.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        return path
+    def test_format_one_file_quarantined_and_check_rebuilds(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
 
-    def test_legacy_snapshot_loads(self, tmp_path):
-        key = cache_key(DEFS, CFG)
-        closure = _closure()
-        self._write_legacy(tmp_path, key, {"fix:p": closure.root})
-        cache = SnapshotCache(tmp_path, key)
-        assert cache.loaded and not cache.rebuilt
-        # legacy decode re-interns onto the canonical arena node
-        assert cache.get("fix:p") is closure.root
-
-    def test_legacy_rewritten_flat_on_save(self, tmp_path):
-        key = cache_key(DEFS, CFG)
-        closure = _closure()
-        self._write_legacy(tmp_path, key, {"fix:p": closure.root})
-        cache = SnapshotCache(tmp_path, key)
-        cache.put("fix:q", closure.root)
-        cache.save()
-        data = json.loads(cache.path.read_text(encoding="utf-8"))
-        assert data["format"] == FORMAT_VERSION
-        assert "arity" in data and "nodes" not in data
-        warm = SnapshotCache(tmp_path, key)
-        assert warm.loaded
-        assert warm.get("fix:p") is closure.root
-
-    def test_corrupt_legacy_rebuilt(self, tmp_path):
-        key = cache_key(DEFS, CFG)
-        path = self._write_legacy(tmp_path, key, {"fix:p": _closure().root})
-        data = json.loads(path.read_text(encoding="utf-8"))
-        data["nodes"] = data["nodes"][:1]
-        path.write_text(json.dumps(data), encoding="utf-8")
-        cache = SnapshotCache(tmp_path, key)
-        assert cache.rebuilt and not cache.loaded
-        assert cache.get("fix:p") is None
+        source = tmp_path / "copier.csp"
+        source.write_text("copier = input?x:NAT -> wire!x -> copier")
+        cache_dir = tmp_path / "cache"
+        argv = [
+            "check", str(source), "--spec", "wire <= input",
+            "--depth", "4", "--cache-dir", str(cache_dir),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        (path,) = cache_dir.glob("snapshot-*.json")
+        key = json.loads(path.read_text(encoding="utf-8"))["key"]
+        # The format-1 layout: one nested edge list per node, post-order.
+        path.write_text(
+            json.dumps(
+                {
+                    "format": 1,
+                    "key": key,
+                    "events": [],
+                    "nodes": [[]],
+                    "roots": {"fix:copier": 0},
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert (cache_dir / "quarantine" / path.name).exists()
+        rewritten = json.loads(path.read_text(encoding="utf-8"))
+        assert rewritten["format"] == FORMAT_VERSION
 
 
 class TestCacheKey:
@@ -227,6 +221,18 @@ class TestCacheKey:
         assert cache_key(DEFS, CFG) == cache_key(
             parse_definitions("copier = input?x:NAT -> wire!x -> copier"), CFG
         )
+
+    def test_open_cache_key_ignores_binding_order(self, tmp_path):
+        # The CLI and serve workers both open caches through open_cache,
+        # so --set order must never split one situation across two files.
+        one = open_cache(DEFS, CFG, cache_dir=str(tmp_path), sets=["N=2", "M=0,1"])
+        two = open_cache(
+            DEFS, CFG, cache_dir=str(tmp_path), sets=["M=0,1", "N=2"],
+            checkpoint_only=True,
+        )
+        assert one.path == two.path
+        assert not one.checkpoint_only and two.checkpoint_only
+        assert open_cache(DEFS, CFG, cache_dir=str(tmp_path)).key != one.key
 
 
 class TestSnapshotCache:
