@@ -141,11 +141,10 @@ CONCURRENT_CLIENTS = 8
 
 def _concurrent_case() -> dict:
     """Eight clients firing the same batch check at a two-worker pool at
-    once.  The first worker to solve the system exports its roots; the
-    supervisor ships them to the other pool member, so at most the pool
-    width of solves is ever paid.  Records wall clock for the concurrent
-    volley vs the same requests serialised through one connection, plus
-    the supervisor's warm-sharing counters."""
+    once.  Under ``no_cache`` nothing is shared between workers, so each
+    worker solves the system at most once and at most the pool width of
+    solves is ever paid.  Records wall clock for the concurrent volley
+    vs the same requests serialised through one warm connection."""
     import threading
 
     from repro.process.parser import parse_definitions
@@ -194,7 +193,6 @@ def _concurrent_case() -> dict:
                 for _ in range(CONCURRENT_CLIENTS):
                     client.check(defs, **query)
                 serial_s = time.perf_counter() - start
-                stats = client.stats()
         finally:
             supervisor.stop()
     case = {
@@ -204,13 +202,10 @@ def _concurrent_case() -> dict:
         # steady-state floor the concurrent path converges to once the
         # pool is fully warmed
         "serial_warm_s": round(serial_s, 4),
-        "ships": stats.get("ships", 0),
-        "shared_systems": stats.get("shared_systems", 0),
     }
     print(
         f"{case['case']:<28} concurrent {concurrent_s * 1000:8.1f} ms   "
-        f"serial-warm {serial_s * 1000:8.1f} ms   "
-        f"({case['ships']} ship(s), {case['shared_systems']} shared)"
+        f"serial-warm {serial_s * 1000:8.1f} ms"
     )
     return case
 
@@ -228,8 +223,8 @@ def generate() -> dict:
         "description": (
             "repro serve warm-daemon query latency vs cold single-shot "
             "CLI invocation (same query, byte-identical verdict), plus "
-            "concurrent clients against a two-worker pool with "
-            "solved-system sharing"
+            "concurrent clients against a two-worker pool (no cache: "
+            "each worker solves the system at most once)"
         ),
         "python": sys.version.split()[0],
         "cases": cases,

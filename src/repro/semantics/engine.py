@@ -295,16 +295,15 @@ class DenotationEngine:
         Each child solves a stride of the rank's pending SCCs into a
         private kernel state and writes one JSON payload — per-unit flat
         segment roots (:func:`~repro.traces.snapshot.export_segments`),
-        a report, and governor deltas — to its pipe, then exits.  The
-        parent closes each write end immediately after forking (so no
-        later child holds an earlier pipe open past its writer's death),
-        reads every payload to EOF, and splices units back **in plan
-        order**: each unit's node delta is charged to the ambient
-        governor *before* its segments are spliced, so a budget trip
-        admits none of that unit, and the canonical interner sees the
-        same insertion
-        sequence regardless of child timing — final roots are
-        pointer-identical to a sequential run.
+        a report, governor deltas and kernel-counter deltas — to its
+        pipe, then exits.  The parent closes each write end immediately
+        after forking (so no later child holds an earlier pipe open past
+        its writer's death), reads every payload to EOF, and splices
+        units back **in plan order**: each unit's node delta is charged
+        to the ambient governor *before* its segments are spliced, so a
+        budget trip admits none of that unit, and the canonical interner
+        sees the same insertion sequence regardless of child timing —
+        final roots are pointer-identical to a sequential run.
 
         A child that reports an error stops the merge: the parent
         re-raises the plan-order-first failure rebuilt by kind (budget
@@ -395,6 +394,9 @@ class DenotationEngine:
             if unit is None:
                 self._merge(*self._solve_scc(self._sccs[index], rank))
                 continue
+            # The child's memo and delta-walk counters stayed in its
+            # process; a unit re-solved in-process above counted itself.
+            _stats.KERNEL_STATS.add_counts(unit["counts"])
             by_pretty = {e.pretty(): e for e in self._sccs[index].entries}
             solution = {
                 by_pretty[slot]: FiniteClosure.from_node(node)
@@ -428,6 +430,7 @@ class DenotationEngine:
                         }
                     nodes0 = governor.nodes_interned if governor is not None else 0
                     states0 = governor.states_touched if governor is not None else 0
+                    counts0 = _stats.KERNEL_STATS.solve_counts()
                     solution, report = self._solve_scc(
                         self._sccs[index], rank, resolved
                     )
@@ -441,6 +444,7 @@ class DenotationEngine:
                                 }
                             ),
                             "report": _report_wire(report),
+                            "counts": _stats.KERNEL_STATS.counts_since(counts0),
                             "nodes": (
                                 governor.nodes_interned - nodes0
                                 if governor is not None

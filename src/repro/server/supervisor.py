@@ -24,6 +24,10 @@ robustness decision lives here so a worker can stay a dumb loop:
   that many served requests (bounding unbounded arena growth across
   many distinct systems) and replaced with a fresh one.
 
+The supervisor holds no solved systems and never looks inside a query;
+workers share solved roots only through the on-disk snapshot cache (see
+:mod:`repro.server.worker`).
+
 Fault sites: ``serve.dispatch`` fires on every dispatch attempt (an
 injected fault there is handled exactly like a worker crash), and the
 ``--inject`` option arms a plan in the *initial* worker generation only
@@ -53,23 +57,11 @@ RESULT_CACHE_SIZE = 256
 #: Seconds between health-thread sweeps over the idle pool.
 HEALTH_INTERVAL = 5.0
 
-#: Distinct solved systems whose root segments the supervisor keeps for
-#: cross-worker sharing (least-recently-used beyond this are dropped).
-SHARED_SYSTEMS_SIZE = 8
-
 
 class WorkerHandle:
     """One worker subprocess plus the supervisor's end of its socketpair."""
 
-    __slots__ = (
-        "proc",
-        "sock",
-        "stream",
-        "index",
-        "served",
-        "generation",
-        "shipped",
-    )
+    __slots__ = ("proc", "sock", "stream", "index", "served", "generation")
 
     def __init__(
         self,
@@ -84,11 +76,6 @@ class WorkerHandle:
         self.index = index
         self.served = 0
         self.generation = generation
-        #: Situations whose shared roots this worker already holds —
-        #: either it solved them itself or a ``warm`` frame delivered
-        #: them.  A respawned replacement starts empty, so a fresh
-        #: worker is re-warmed on its first matching request.
-        self.shipped: set = set()
 
     @property
     def pid(self) -> int:
@@ -152,13 +139,6 @@ class Supervisor:
         self._threads: List[threading.Thread] = []
         self._spawn_lock = threading.Lock()
         self._generation = 0
-        #: situation → ``{"roots": ..., "blobs": ...}`` — solved-system
-        #: root segments (flat format-2 payloads) plus checkpoint blobs
-        #: (explorer frontiers, forall receipts), harvested from worker
-        #: responses and shipped to siblings before their first dispatch
-        #: of that situation.
-        self._shared: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._shared_lock = threading.Lock()
         # observability counters (reported by the ``stats`` op)
         self.requests = 0
         self.shed = 0
@@ -166,7 +146,6 @@ class Supervisor:
         self.crashes = 0
         self.deduped = 0
         self.retries = 0
-        self.ships = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -482,77 +461,7 @@ class Supervisor:
             "crashes": self.crashes,
             "deduped": self.deduped,
             "retries": self.retries,
-            "ships": self.ships,
-            "shared_systems": len(self._shared),
         }
-
-    def _ship_shared(self, worker: WorkerHandle, request: Dict[str, Any]) -> None:
-        """Warm ``worker`` with another worker's solved roots for this
-        request's situation, if the pool has them and this worker does
-        not.  Governed requests are skipped — they run against fresh
-        checkpoint-only caches by design.  Transport failures propagate
-        to the dispatch retry loop (the worker is retired and the fresh
-        replacement re-warmed)."""
-        if request.get("op") not in ("check", "traces"):
-            return
-        if request.get("budget"):
-            return
-        from repro.server.worker import _situation_key
-
-        situation = _situation_key(request)
-        with self._shared_lock:
-            entry = self._shared.get(situation)
-            if entry is not None:
-                self._shared.move_to_end(situation)
-        if entry is None or situation in worker.shipped:
-            return
-        frame = {
-            "op": "warm",
-            "situation": situation,
-            "roots": entry["roots"],
-        }
-        if entry.get("blobs"):
-            frame["blobs"] = entry["blobs"]
-        protocol.send_frame(worker.stream, frame)
-        ack = protocol.recv_frame(worker.stream)
-        if ack is None:
-            raise ServerError(
-                f"worker {worker.pid} closed the connection mid-warm"
-            )
-        if ack.get("status") == "OK":
-            worker.shipped.add(situation)
-            self.ships += 1
-        # An ERROR ack (corrupt segments) leaves the worker alive and
-        # unwarmed; the request still computes from cold.
-
-    def _harvest_solved(
-        self, worker: WorkerHandle, response: Dict[str, Any]
-    ) -> None:
-        """Store solved-system roots a worker attached to its response,
-        making them shippable to every sibling (the payload never
-        reaches clients)."""
-        solved = response.pop("solved", None)
-        if not isinstance(solved, dict):
-            return
-        situation = solved.get("situation")
-        roots = solved.get("roots")
-        if not situation or not isinstance(roots, dict):
-            return
-        blobs = solved.get("blobs")
-        worker.shipped.add(situation)
-        with self._shared_lock:
-            # Workers export their whole slot map whenever it grew, so a
-            # newer frame is always a superset: replace wholesale (two
-            # segment payloads cannot be merged — root ids are local to
-            # each frame's node tables).  Checkpoint blobs ride along
-            # under the same replace-wholesale rule.
-            self._shared[situation] = {
-                "roots": roots,
-                "blobs": blobs if isinstance(blobs, dict) else {},
-            }
-            self._shared.move_to_end(situation)
-            while len(self._shared) > SHARED_SYSTEMS_SIZE:
-                self._shared.popitem(last=False)
 
     def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Dispatch to a worker, healing crashes and hangs along the way."""
@@ -592,7 +501,6 @@ class Supervisor:
                 try:
                     _faults.maybe_fail("serve.dispatch")
                     worker.sock.settimeout(compute_timeout)
-                    self._ship_shared(worker, request)
                     protocol.send_frame(worker.stream, request)
                     response = protocol.recv_frame(worker.stream)
                     if response is None:
@@ -605,15 +513,11 @@ class Supervisor:
                     # malformed frame, injected dispatch fault: SIGKILL
                     # the worker and re-dispatch on a fresh one.  Sound
                     # because a re-run from clean state computes exactly
-                    # what the undisturbed run would have (PR 2).  A
-                    # worker that dies mid-warm-splice is healed the same
-                    # way — the shared segments stay in the supervisor
-                    # and the replacement is re-warmed on retry.
+                    # what the undisturbed run would have (PR 2).
                     last_failure = exc
                     worker = self._retire(worker)
                     continue
                 worker.served += 1
-                self._harvest_solved(worker, response)
                 response.setdefault("attempts", attempts)
                 return response
             return protocol.error_response(

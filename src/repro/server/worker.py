@@ -13,6 +13,13 @@ engine bindings and snapshot caches) are kept in a small LRU keyed by
 the semantic situation, so the hundredth ``P sat R`` query against one
 solved system pays only the sat walk.
 
+Workers share solved systems only through the on-disk
+:class:`~repro.traces.snapshot.SnapshotCache` (the same cache the local
+CLI uses, flock-guarded and merged on save): a system one worker solved
+and saved loads as cache hits in a sibling's fresh checker.  Under
+``no_cache`` nothing is shared, so each worker solves a system at most
+once for as long as its checker stays pooled.
+
 Failure contract:
 
 * a library error inside a query becomes an ``ERROR`` response carrying
@@ -56,24 +63,12 @@ CHECKER_POOL_SIZE = 8
 
 _CHECKERS: "OrderedDict[str, Tuple[Any, Any]]" = OrderedDict()
 
-#: Solved-system roots adopted from sibling workers via the supervisor's
-#: ``warm`` op, keyed by situation — spliced into this worker's arena and
-#: seeded into the next checker built for that situation.
-_WARM_ROOTS: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-
-#: Checkpoint blobs (explorer frontiers, ``forall`` instance receipts)
-#: riding the same ``warm`` frames, keyed by situation.  Blobs are plain
-#: JSON dicts — no splicing needed — but they are only trusted after the
-#: consumer's own validation, exactly like blobs read from disk.
-_WARM_BLOBS: "OrderedDict[str, Dict[str, dict]]" = OrderedDict()
-
 
 def _situation_key(request: Dict[str, Any]) -> str:
-    """One string per semantic situation a checker can be reused for.
-
-    Built from the *raw* request fields only, so the supervisor (which
-    routes shared solved-system roots by this key) computes the identical
-    key without knowing the worker's defaults."""
+    """One string per semantic situation a checker can be reused for —
+    the key of this worker's checker pool.  Built from the raw request
+    fields (defaults applied), so two requests that differ only in a
+    field the checker never reads share one warm checker."""
     import json
 
     return json.dumps(
@@ -91,109 +86,6 @@ def _situation_key(request: Dict[str, Any]) -> str:
         sort_keys=True,
         separators=(",", ":"),
     )
-
-
-class MemoryRootsCache:
-    """Slot→root cache layered over the optional disk snapshot cache.
-
-    The in-memory layer is the unit of cross-worker solved-system
-    sharing: every root this worker solves is recorded under its slot
-    (``fresh`` until exported), and roots a sibling solved arrive
-    pre-spliced via :meth:`adopt`.  Presents the same ``get``/``put``/
-    ``save`` surface as :class:`~repro.traces.snapshot.SnapshotCache`,
-    so checkers and engines use it unchanged."""
-
-    #: Never checkpoint-only — governed requests bypass sharing entirely.
-    checkpoint_only = False
-
-    def __init__(
-        self,
-        inner: Any = None,
-        seed: Optional[Dict[str, Any]] = None,
-        seed_blobs: Optional[Dict[str, dict]] = None,
-    ):
-        self.inner = inner
-        self.roots: Dict[str, Any] = dict(seed or {})
-        self.blobs: Dict[str, dict] = dict(seed_blobs or {})
-        self.fresh: Dict[str, Any] = {}
-        self.fresh_blobs: Dict[str, dict] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def rebuilt(self) -> bool:
-        return bool(getattr(self.inner, "rebuilt", False))
-
-    def get(self, slot: str):
-        node = self.roots.get(slot)
-        if node is None and self.inner is not None:
-            node = self.inner.get(slot)
-            if node is not None:
-                self.roots[slot] = node
-        if node is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return node
-
-    def put(self, slot: str, root: Any) -> None:
-        self.roots[slot] = root
-        self.fresh[slot] = root
-        if self.inner is not None:
-            self.inner.put(slot, root)
-
-    def get_blob(self, slot: str):
-        blob = self.blobs.get(slot)
-        if blob is None and self.inner is not None:
-            blob = self.inner.get_blob(slot)
-            if blob is not None:
-                self.blobs[slot] = blob
-        if blob is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return blob
-
-    def put_blob(self, slot: str, blob: dict) -> None:
-        self.blobs[slot] = blob
-        self.fresh_blobs[slot] = blob
-        if self.inner is not None:
-            self.inner.put_blob(slot, blob)
-
-    def reject(self) -> None:
-        """A consumer found adopted or cached content invalid: drop the
-        in-memory layer entirely (nothing here is trusted any more) and
-        quarantine the disk layer if there is one."""
-        self.roots.clear()
-        self.blobs.clear()
-        self.fresh.clear()
-        self.fresh_blobs.clear()
-        if self.inner is not None:
-            self.inner.reject()
-
-    def adopt(
-        self, roots: Dict[str, Any], blobs: Optional[Dict[str, dict]] = None
-    ) -> None:
-        """Merge spliced sibling roots (never overwriting local solves,
-        and never re-exported — the pool already has them)."""
-        for slot, node in roots.items():
-            self.roots.setdefault(slot, node)
-        for slot, blob in (blobs or {}).items():
-            self.blobs.setdefault(slot, blob)
-
-    def take_fresh(self) -> Dict[str, Any]:
-        """Roots solved locally since the last export (and reset)."""
-        fresh, self.fresh = self.fresh, {}
-        return fresh
-
-    def take_fresh_blobs(self) -> Dict[str, dict]:
-        """Blobs written locally since the last export (and reset)."""
-        fresh, self.fresh_blobs = self.fresh_blobs, {}
-        return fresh
-
-    def save(self) -> None:
-        if self.inner is not None:
-            self.inner.save()
 
 
 def _checker_for(request: Dict[str, Any], defs: Any, governed: bool):
@@ -227,14 +119,6 @@ def _checker_for(request: Dict[str, Any], defs: Any, governed: bool):
             sets=request.get("sets"),
             with_cancel=request.get("with_cancel"),
             checkpoint_only=governed,
-        )
-    if not governed:
-        # Ungoverned checkers cache through the shared-roots layer, so a
-        # system a sibling worker already solved warm-starts here too.
-        cache = MemoryRootsCache(
-            inner=cache,
-            seed=_WARM_ROOTS.get(key),
-            seed_blobs=_WARM_BLOBS.get(key),
         )
     checker = SatChecker(
         defs,
@@ -345,72 +229,7 @@ def run_query(request: Dict[str, Any]) -> Dict[str, Any]:
         response["verdicts"] = verdicts
     if resume_slots:
         response["resume_slots"] = list(resume_slots)
-    if isinstance(cache, MemoryRootsCache) and (
-        cache.take_fresh() or cache.take_fresh_blobs()
-    ):
-        # Export the *whole* slot map, not just the fresh slots — each
-        # segment frame must be self-contained (root ids are local to
-        # its node tables), and the supervisor replaces frames wholesale.
-        # Checkpoint blobs (explorer frontiers, forall receipts) ride the
-        # same frame so a sibling's warm restart skips re-exploration too.
-        from repro.traces.snapshot import export_segments
-
-        response["solved"] = {
-            "situation": _situation_key(request),
-            "roots": export_segments(cache.roots),
-            "blobs": dict(cache.blobs),
-        }
     return response
-
-
-def adopt_roots(request: Dict[str, Any]) -> Dict[str, Any]:
-    """The supervisor's ``warm`` op: splice a sibling worker's solved
-    roots (flat format-2 segments) into this worker's canonical arena
-    and remember them per situation, so the next checker built for that
-    situation restores them instead of solving.
-
-    Splicing validates the payload fully — a torn or corrupt segment
-    raises and becomes an ``ERROR`` response, and every row is validated
-    before it is interned (whatever a rejected frame left behind is
-    canonical), so a worker can never be poisoned by a bad warm frame."""
-    from repro.traces.snapshot import splice_segments
-
-    rid = request.get("id")
-    situation = request.get("situation")
-    if not situation or not isinstance(request.get("roots"), dict):
-        raise ServerError("warm request carries no situation or roots")
-    blobs = request.get("blobs")
-    if blobs is not None and (
-        not isinstance(blobs, dict)
-        or not all(
-            isinstance(k, str) and isinstance(v, dict) for k, v in blobs.items()
-        )
-    ):
-        raise ServerError("warm request carries malformed blobs")
-    roots = splice_segments(request["roots"])
-    known = _WARM_ROOTS.setdefault(situation, {})
-    for slot, node in roots.items():
-        known.setdefault(slot, node)
-    _WARM_ROOTS.move_to_end(situation)
-    while len(_WARM_ROOTS) > CHECKER_POOL_SIZE:
-        _WARM_ROOTS.popitem(last=False)
-    if blobs:
-        known_blobs = _WARM_BLOBS.setdefault(situation, {})
-        for slot, blob in blobs.items():
-            known_blobs.setdefault(slot, blob)
-        _WARM_BLOBS.move_to_end(situation)
-        while len(_WARM_BLOBS) > CHECKER_POOL_SIZE:
-            _WARM_BLOBS.popitem(last=False)
-    cached = _CHECKERS.get(situation)
-    if cached is not None and isinstance(cached[1], MemoryRootsCache):
-        cached[1].adopt(roots, blobs)
-    return {
-        "id": rid,
-        "status": "OK",
-        "exit_code": 0,
-        "adopted": len(roots) + len(blobs or ()),
-        "pid": os.getpid(),
-    }
 
 
 def handle(request: Dict[str, Any]) -> Dict[str, Any]:
@@ -428,8 +247,6 @@ def handle(request: Dict[str, Any]) -> Dict[str, Any]:
                 "pid": os.getpid(),
                 "protocol": protocol.PROTOCOL_VERSION,
             }
-        if op == "warm":
-            return adopt_roots(request)
         if op in ("check", "traces"):
             return run_query(request)
         raise ServerError(f"unknown op {op!r}")

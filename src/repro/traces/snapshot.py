@@ -292,13 +292,12 @@ def _decode_blobs(data: Any) -> Dict[str, dict]:
 
 def export_segments(roots: Dict[str, ClosureNode]) -> dict:
     """Encode ``roots`` as a flat segment payload for *in-memory*
-    shipping — over a worker-process pipe or a serve-pool socket —
-    rather than a snapshot file.
+    shipping over a forked worker's pipe rather than a snapshot file.
 
     This is :func:`encode_roots` by another name: the wire layout and
     the file layout are deliberately the same format-2 segments, so the
-    process dispatcher and the solved-system share path reuse the one
-    codec (and its validation on the receiving side).
+    process dispatcher reuses the one codec (and its validation on the
+    receiving side).
     """
     return encode_roots(roots)
 
@@ -307,11 +306,10 @@ def splice_segments(payload: dict) -> Dict[str, ClosureNode]:
     """Splice a shipped segment payload into the current kernel state.
 
     Decodes with full validation (:func:`decode_roots`) under a
-    suspended governor: callers on the splice path — the engine's
-    process dispatcher, the serve warm-roots adopter — account for the
-    shipped work explicitly (per-unit node deltas reported by the child,
-    or not at all for cache warming), so the splice itself must not
-    double-charge the ambient budget.
+    suspended governor: the engine's process dispatcher accounts for
+    the shipped work explicitly (per-unit node deltas reported by the
+    child), so the splice itself must not double-charge the ambient
+    budget.
     """
     with _governor.suspended():
         return decode_roots(payload)

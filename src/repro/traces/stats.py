@@ -77,8 +77,7 @@ class KernelStats:
         self.frontier_nodes = 0
         #: Node ids newly interned by
         #: :func:`repro.traces.snapshot.decode_roots` — segments spliced
-        #: in from a snapshot file, a worker process, or a shared
-        #: solved-system payload.
+        #: in from a snapshot file or a forked worker process.
         self.spliced_ids = 0
         #: Raw segment bytes those splices decoded (arity, edge tables,
         #: counts, heights) — the cross-process segment traffic.
@@ -106,6 +105,41 @@ class KernelStats:
         except KeyError:
             stats = self.memos[operator] = MemoStats()
             return stats
+
+    def solve_counts(self) -> Dict[str, object]:
+        """The counters a solve moves — per-operator memo hits/misses and
+        the delta-walk counts — as a JSON-friendly dict.  A forked engine
+        worker diffs two of these around each unit (:meth:`counts_since`)
+        and the parent adds the difference back (:meth:`add_counts`)."""
+        return {
+            "memos": {
+                name: [stats.hits, stats.misses]
+                for name, stats in self.memos.items()
+            },
+            "delta": [self.delta_queries, self.delta_capped, self.frontier_nodes],
+        }
+
+    def counts_since(self, before: Dict[str, object]) -> Dict[str, object]:
+        """What :meth:`solve_counts` moved since ``before``."""
+        now = self.solve_counts()
+        memos = {}
+        for name, (hits, misses) in now["memos"].items():
+            hits0, misses0 = before["memos"].get(name, (0, 0))
+            if hits != hits0 or misses != misses0:
+                memos[name] = [hits - hits0, misses - misses0]
+        delta = [a - b for a, b in zip(now["delta"], before["delta"])]
+        return {"memos": memos, "delta": delta}
+
+    def add_counts(self, counts: Dict[str, object]) -> None:
+        """Add a :meth:`counts_since` difference to these counters."""
+        for name, (hits, misses) in counts["memos"].items():
+            stats = self.memo(name)
+            stats.hits += hits
+            stats.misses += misses
+        queries, capped, frontier = counts["delta"]
+        self.delta_queries += queries
+        self.delta_capped += capped
+        self.frontier_nodes += frontier
 
     # -- reporting ---------------------------------------------------------
 

@@ -1,15 +1,13 @@
-"""Request batching and cross-worker solved-system sharing.
-
-Two serve-layer behaviours added with the process-parallel arena work:
+"""Request batching and solved-system sharing across the serve pool.
 
 * a ``check`` request whose ``spec`` is a *list* runs every assertion
   against one warm solved system in a single dispatch, returning a
   per-assertion ``verdicts`` array beside the same concatenated
   rendering the local CLI prints for a repeated ``--spec``;
-* a worker that solves a system exports its roots as flat format-2
-  segments, the supervisor keeps them in a bounded LRU, and ships them
-  to other pool members ahead of matching requests — so a system is
-  solved once per daemon, not once per worker.
+* workers share solved systems only through the on-disk snapshot cache:
+  a system one worker solved and saved loads as cache hits in a fresh
+  sibling, and every verdict stays byte-identical to the local CLI no
+  matter which worker answered.
 """
 
 import threading
@@ -18,8 +16,11 @@ import pytest
 
 from repro.cli import main
 from repro.process.parser import parse_definitions
+from repro.semantics.config import SemanticsConfig
 from repro.server.client import ServerClient
 from repro.server.supervisor import Supervisor
+from repro.server.worker import handle
+from repro.traces.snapshot import fix_slot, open_cache
 
 COPIER = """
 copier = input?x:NAT -> wire!x -> copier;
@@ -45,7 +46,7 @@ def daemon(tmp_path):
 
 @pytest.fixture
 def pool(tmp_path):
-    """A two-worker daemon, for the sharing tests."""
+    """A two-worker daemon, for the concurrency test."""
     supervisor = Supervisor(str(tmp_path / "pool.sock"), jobs=2)
     supervisor.start()
     yield supervisor
@@ -112,34 +113,64 @@ class TestBatching:
 
 
 class TestWarmSharing:
-    def _checks(self, supervisor, defs, n, spec="output <= input"):
-        responses = []
-        with _client(supervisor) as client:
-            for _ in range(n):
-                responses.append(
-                    client.check(
-                        defs, spec, process="network", depth=4, no_cache=True
-                    )
+    """Solved systems reach other pool workers only through the snapshot
+    cache directory."""
+
+    def test_fresh_workers_share_through_the_snapshot_cache(
+        self, tmp_path, copier_defs, capsys
+    ):
+        """Every request lands on a fresh worker (``max_requests=1``), so
+        the only way the second can reuse the first's solve is the cache
+        directory both open.  The target is ``copier``, whose fixpoint
+        the engine caches per entry (``network``'s ``chan`` hiding is
+        solved at its own hide depth and cached as a traces slot)."""
+        specs = ["wire <= input", "input <= wire"]
+        cache_dir = str(tmp_path / "cache")
+        supervisor = Supervisor(
+            str(tmp_path / "disk.sock"), jobs=2, max_requests=1
+        )
+        supervisor.start()
+        try:
+            with _client(supervisor) as client:
+                first = client.check(
+                    copier_defs, specs, process="copier", depth=4,
+                    cache_dir=cache_dir,
                 )
-            stats = client.stats()
-        return responses, stats
+                on_disk = open_cache(
+                    copier_defs, SemanticsConfig(depth=4, sample=2),
+                    cache_dir=cache_dir,
+                )
+                for name in ("copier", "recopier", "network"):
+                    assert on_disk.get(fix_slot(name)) is not None
+                second = client.check(
+                    copier_defs, specs, process="copier", depth=4,
+                    cache_dir=cache_dir,
+                )
+        finally:
+            supervisor.stop()
+        assert first["pid"] != second["pid"]
+        path = tmp_path / "copier.csp"
+        path.write_text(COPIER)
+        code = main(
+            ["check", str(path), "--process", "copier", "--depth", "4",
+             "--spec", specs[0], "--spec", specs[1], "--cache-dir", cache_dir]
+        )
+        captured = capsys.readouterr()
+        for response in (first, second):
+            assert response["status"] == "OK"
+            assert response["exit_code"] == code == 1
+            assert response["stdout"] + "\n" == captured.out
+            assert response["stderr"] == captured.err.rstrip("\n")
 
-    def test_solved_payload_never_reaches_clients(self, daemon, copier_defs):
-        responses, _ = self._checks(daemon, copier_defs, 2)
-        for response in responses:
-            assert "solved" not in response
-
-    def test_roots_are_shipped_across_the_pool(self, pool, copier_defs):
-        responses, stats = self._checks(pool, copier_defs, 6)
-        assert stats["shared_systems"] >= 1
-        assert stats["ships"] >= 1
-        # verdicts stay byte-identical no matter which worker answered
-        assert len({r["stdout"] for r in responses}) == 1
-        assert {r["exit_code"] for r in responses} == {0}
+    def test_warm_frame_is_an_unknown_op(self):
+        response = handle({"id": "w", "op": "warm", "situation": "s",
+                           "roots": {}})
+        assert response["status"] == "ERROR"
+        assert response["stderr"] == "error: unknown op 'warm'"
 
     def test_concurrent_clients_agree(self, pool, copier_defs):
-        """Both workers busy at once: whichever solves first seeds the
-        shared store, and every verdict is still byte-identical."""
+        """Both workers busy at once, each solving for itself under
+        ``no_cache``: every verdict is still byte-identical."""
         results = []
         lock = threading.Lock()
 
