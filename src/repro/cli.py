@@ -65,6 +65,8 @@ from repro.assertions.sequences import cancel_protocol
 from repro.errors import (
     EXIT_BUDGET,
     BudgetExceeded,
+    DefinitionError,
+    ParseError,
     ReproError,
     exit_code_for,
 )
@@ -95,7 +97,9 @@ def environment_from_options(
     for binding in sets or []:
         name, sep, values = binding.partition("=")
         if not sep:
-            raise SystemExit(f"--set expects NAME=v1,v2,…  got {binding!r}")
+            raise ParseError(
+                f"--set expects NAME=v1,v2,…  got {binding!r}", len(binding), binding
+            )
         env = env.bind(
             name.strip(), FiniteDomain(_parse_value(v) for v in values.split(","))
         )
@@ -155,7 +159,9 @@ def _target(args: argparse.Namespace, defs) -> Name:
     if name is None:
         name = list(defs)[-1].name  # the last equation, e.g. the network
     if name not in defs:
-        raise SystemExit(f"no process named {name!r}; defined: {sorted(defs.names())}")
+        raise DefinitionError(
+            f"no process named {name!r}; defined: {sorted(defs.names())}"
+        )
     return Name(name)
 
 
@@ -373,7 +379,9 @@ def cmd_prove(args: argparse.Namespace) -> int:
     for spec in args.invariant or []:
         head, _, formula_text = spec.partition("=")
         if not _:
-            raise SystemExit(f"--invariant expects NAME=FORMULA, got {spec!r}")
+            raise ParseError(
+                f"--invariant expects NAME=FORMULA, got {spec!r}", len(spec), spec
+            )
         head = head.strip()
         formula = parse_assertion(formula_text.strip(), all_channels)
         if ":" in head:
@@ -494,6 +502,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer ``>= low`` (a usage error, exit 2,
+    otherwise — never a traceback from the semantics' own bound check)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -532,8 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, engine: bool = False) -> None:
         p.add_argument("file", help="definitions file in the paper's notation")
         p.add_argument("--process", help="process name (default: last equation)")
-        p.add_argument("--depth", type=int, default=5, help="trace depth bound")
-        p.add_argument("--sample", type=int, default=2, help="values per infinite set")
+        p.add_argument(
+            "--depth", type=_at_least(0), default=5, help="trace depth bound"
+        )
+        p.add_argument(
+            "--sample", type=_at_least(1), default=2, help="values per infinite set"
+        )
         p.add_argument(
             "--set",
             action="append",

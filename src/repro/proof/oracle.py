@@ -10,7 +10,9 @@ The oracle decides such facts by bounded exhaustive evaluation: every
 assignment of pool values to free variables (eigenvariables range over
 their declared domains instead) and every assignment of bounded-length
 histories to the mentioned channels.  When the combination space exceeds
-a limit it falls back to seeded random sampling.
+a limit it falls back to seeded random sampling.  The formula is compiled
+once (:mod:`repro.assertions.compiled`) and bound once per variable
+assignment; the histories stream into the bound function as tuples.
 
 This is deliberately a *refutation-complete-up-to-bounds* decision
 procedure, not a theorem prover; every discharge records its method and
@@ -22,12 +24,27 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.assertions.ast import BoolLit, Formula
-from repro.assertions.eval import DEFAULT_EVAL_CONFIG, EvalConfig, evaluate_formula
+from repro.assertions.compiled import CompiledFormula, compile_formula
+from repro.assertions.eval import DEFAULT_EVAL_CONFIG, EvalConfig
 from repro.assertions.substitution import channels_mentioned, formula_free_variables
 from repro.errors import DischargeError, EvaluationError
+from repro.traces.events import Channel
 from repro.traces.histories import ChannelHistory
 from repro.values.domains import Domain
 from repro.values.environment import Environment
@@ -103,13 +120,23 @@ DomainLike = Union[Domain, SetExpr]
 
 
 class Oracle:
-    """Decides pure formulas by bounded evaluation."""
+    """Decides pure formulas by bounded evaluation.
+
+    Verdicts are memoised per ``(formula, eigenvariable domains)`` on the
+    instance, keyed also by the *identity* of :attr:`env` and
+    :attr:`config` — rebinding either misses the memo.  The decision is
+    deterministic (exhaustive enumeration, or a fresh ``Random(seed)``
+    per call), so a memo hit is the very verdict a recomputation would
+    return: proof search and proof checking discharge each side
+    condition once between them.
+    """
 
     def __init__(
         self, env: Optional[Environment] = None, config: Optional[OracleConfig] = None
     ) -> None:
         self.env = env if env is not None else Environment()
         self.config = config if config is not None else OracleConfig()
+        self._verdicts: Dict[Hashable, Verdict] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -121,21 +148,12 @@ class Oracle:
         """Decide ``⊨ formula``.  ``var_domains`` constrains eigenvariables
         to their declared sets; other free variables range over the pool."""
         var_domains = dict(var_domains or {})
-        # Fast path: many side conditions (R_<> blanks especially) fold to
-        # a literal truth value syntactically, for every history and value.
-        from repro.assertions.simplify import simplify
-
-        folded = simplify(formula)
-        if isinstance(folded, BoolLit):
-            return Verdict(folded.value, "syntactic", 1, None if folded.value else "simplifies to false")
-        variables = sorted(formula_free_variables(formula) - set(self.env.names()))
-        assignments = self._assignments(variables, var_domains)
-        total, instance_stream = self._instances(formula, assignments)
-
-        if total <= self.config.exhaustive_limit:
-            return self._run(formula, instance_stream, total, "exhaustive-bounded")
-        sampled = self._sampled_instances(formula, variables, var_domains)
-        return self._run(formula, sampled, self.config.random_trials, "randomized")
+        key = (self.env, self.config, formula, tuple(sorted(var_domains.items())))
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._decide(formula, var_domains)
+            self._verdicts[key] = verdict
+        return verdict
 
     def require(
         self,
@@ -150,6 +168,33 @@ class Oracle:
                 + (f": {verdict.counterexample}" if verdict.counterexample else "")
             )
         return verdict
+
+    def _decide(
+        self, formula: Formula, var_domains: Mapping[str, DomainLike]
+    ) -> Verdict:
+        # Fast path: many side conditions (R_<> blanks especially) fold to
+        # a literal truth value syntactically, for every history and value.
+        from repro.assertions.simplify import simplify
+
+        folded = simplify(formula)
+        if isinstance(folded, BoolLit):
+            return Verdict(folded.value, "syntactic", 1, None if folded.value else "simplifies to false")
+        variables = sorted(formula_free_variables(formula) - set(self.env.names()))
+        assignments = self._assignments(variables, var_domains)
+        channel_refs = sorted(channels_mentioned(formula), key=repr)
+        # Upper bound on instance count (subscripts may collapse channels).
+        n_chans = len({ref.name for ref in channel_refs}) + sum(
+            1 for ref in channel_refs if ref.index is not None
+        )
+        total = max(len(assignments), 1) * self._history_count(
+            min(n_chans, len(channel_refs))
+        )
+        compiled = compile_formula(formula, self.config.eval_config)
+        if total <= self.config.exhaustive_limit:
+            batches = self._exhaustive(compiled, channel_refs, assignments)
+            return self._run(formula, batches, "exhaustive-bounded")
+        batches = self._sampled(compiled, channel_refs, variables, var_domains)
+        return self._run(formula, batches, "randomized")
 
     # -- instance generation ----------------------------------------------
 
@@ -205,55 +250,47 @@ class Oracle:
             partials = extended
         return partials
 
-    def _histories(self, channels) -> Iterator[ChannelHistory]:
-        pool = self.config.value_pool
-        per_channel: List[List[Tuple[object, ...]]] = []
-        all_seqs = [
-            seq
-            for length in range(self.config.max_history_length + 1)
-            for seq in itertools.product(pool, repeat=length)
-        ]
-        for _ in channels:
-            per_channel.append(all_seqs)
-        for combo in itertools.product(*per_channel):
-            yield ChannelHistory(dict(zip(channels, combo)))
-
     def _history_count(self, n_channels: int) -> int:
         pool = len(self.config.value_pool)
         per = sum(pool ** l for l in range(self.config.max_history_length + 1))
         return per ** n_channels
 
-    def _instances(
-        self, formula: Formula, assignments: List[Dict[str, object]]
-    ) -> Tuple[int, Iterator[Tuple[Environment, ChannelHistory]]]:
-        channel_refs = sorted(channels_mentioned(formula), key=repr)
+    def _bound(
+        self, compiled: CompiledFormula, channel_refs, assignment: Dict[str, object]
+    ) -> Tuple[Callable[[tuple], bool], List[Channel]]:
+        """The formula bound to ``ρ + assignment``, one slot per concrete
+        channel it mentions, and those channels in slot order."""
+        env = self.env.bind_all(assignment)
+        channels = _evaluable_channels(channel_refs, env)
+        fn = compiled.bind(env, {chan: i for i, chan in enumerate(channels)})
+        return fn, channels
 
-        def generate() -> Iterator[Tuple[Environment, ChannelHistory]]:
-            for assignment in assignments:
-                env = self.env.bind_all(assignment)
-                concrete = _evaluable_channels(channel_refs, env)
-                for history in self._histories(concrete):
-                    yield env, history
+    def _exhaustive(
+        self, compiled: CompiledFormula, channel_refs, assignments
+    ) -> Iterator[_Batch]:
+        """Every assignment, each with every combination of bounded
+        histories for its channels — streamed, never materialised."""
+        pool = self.config.value_pool
+        all_seqs = [
+            seq
+            for length in range(self.config.max_history_length + 1)
+            for seq in itertools.product(pool, repeat=length)
+        ]
+        for assignment in assignments:
+            fn, channels = self._bound(compiled, channel_refs, assignment)
+            yield fn, channels, itertools.product(all_seqs, repeat=len(channels))
 
-        # Upper bound on instance count (subscripts may collapse channels).
-        n_chans = len({ref.name for ref in channel_refs}) + sum(
-            1 for ref in channel_refs if ref.index is not None
-        )
-        total = max(len(assignments), 1) * self._history_count(
-            min(n_chans, len(channel_refs))
-        )
-        return total, generate()
-
-    def _sampled_instances(
+    def _sampled(
         self,
-        formula: Formula,
+        compiled: CompiledFormula,
+        channel_refs,
         variables: List[str],
         var_domains: Mapping[str, DomainLike],
-    ) -> Iterator[Tuple[Environment, ChannelHistory]]:
+    ) -> Iterator[_Batch]:
         rng = random.Random(self.config.seed)
-        channel_refs = sorted(channels_mentioned(formula), key=repr)
         pool = self.config.value_pool
         ordered = self._ordered_variables(list(variables), var_domains)
+        bound: Dict[tuple, Tuple[Callable[[tuple], bool], List[Channel]]] = {}
         for _ in range(self.config.random_trials):
             assignment: Dict[str, object] = {}
             for name in ordered:
@@ -267,44 +304,49 @@ class Oracle:
                 assignment[name] = rng.choice(values)
             if len(assignment) < len(ordered):
                 continue
-            env = self.env.bind_all(assignment)
-            concrete = _evaluable_channels(channel_refs, env)
-            history = {}
-            for chan in concrete:
+            key = tuple(assignment.values())
+            if key not in bound:
+                bound[key] = self._bound(compiled, channel_refs, assignment)
+            fn, channels = bound[key]
+            seqs = []
+            for _chan in channels:
                 length = rng.randrange(self.config.max_history_length + 1)
-                history[chan] = tuple(rng.choice(pool) for _ in range(length))
-            yield env, ChannelHistory(history)
+                seqs.append(tuple(rng.choice(pool) for _ in range(length)))
+            yield fn, channels, (tuple(seqs),)
 
     # -- evaluation loop -----------------------------------------------------
 
-    def _run(
-        self,
-        formula: Formula,
-        instances: Iterator[Tuple[Environment, ChannelHistory]],
-        budget: int,
-        method: str,
-    ) -> Verdict:
+    def _run(self, formula: Formula, batches: Iterator[_Batch], method: str) -> Verdict:
         evaluated = 0
         errors = 0
-        for env, history in instances:
-            try:
-                ok = evaluate_formula(formula, env, history, self.config.eval_config)
-            except EvaluationError:
-                errors += 1
-                continue
-            evaluated += 1
-            if not ok:
-                detail = self._describe(env, history)
-                return Verdict(False, method, evaluated, detail)
+        first_error: Optional[str] = None
+        for fn, channels, combos in batches:
+            for seqs in combos:
+                try:
+                    ok = fn(seqs)
+                except EvaluationError as exc:
+                    errors += 1
+                    if first_error is None:
+                        first_error = str(exc)
+                    continue
+                evaluated += 1
+                if not ok:
+                    return Verdict(False, method, evaluated, _describe(channels, seqs))
         if evaluated == 0:
             raise DischargeError(
                 f"oracle could not evaluate {formula!r} on any instance "
-                f"({errors} evaluation errors) — check host-function bindings"
+                f"({errors} evaluation errors) — "
+                + (first_error or "no instance to evaluate")
             )
         return Verdict(True, method, evaluated, None)
 
-    def _describe(self, env: Environment, history: ChannelHistory) -> str:
-        parts = []
-        for chan, seq in history.items():
-            parts.append(f"{chan!r}={seq!r}")
-        return ", ".join(parts) or "empty histories"
+
+#: One binding of the formula and the histories to feed it:
+#: ``(fn, channels in slot order, iterable of seqs tuples)``.
+_Batch = Tuple[Callable[[tuple], bool], List[Channel], Iterable[tuple]]
+
+
+def _describe(channels: Sequence[Channel], seqs: tuple) -> str:
+    history = ChannelHistory(dict(zip(channels, seqs)))
+    parts = [f"{chan!r}={seq!r}" for chan, seq in history.items()]
+    return ", ".join(parts) or "empty histories"

@@ -13,8 +13,11 @@ The quantification walks the closure's trace **trie** breadth-first,
 threading the channel history incrementally down each edge — the §3.3
 update ``ch(c.m⌢s) = ch(s)[(m⌢ch(s)(c))/c]`` (E10) read left-to-right —
 so the history of a shared prefix is built once, not recomputed from the
-root for every extending trace.  ``trie_walk=False`` restores the flat
-per-trace loop (kept as a cross-check and benchmark baseline); both modes
+root for every extending trace.  Each node is judged by the assertion
+compiled once (:mod:`repro.assertions.compiled`) over a tuple of
+histories, one slot per channel the assertion names.
+``trie_walk=False`` restores the flat per-trace loop over the reference
+interpreter (kept as a cross-check and benchmark baseline); both modes
 visit traces in the same shortest-first order and therefore report the
 same counterexample.
 
@@ -30,8 +33,10 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro.assertions.ast import Formula
+from repro.assertions.compiled import compile_formula
 from repro.assertions.eval import DEFAULT_EVAL_CONFIG, EvalConfig, evaluate_formula
 from repro.assertions.parser import parse_assertion
+from repro.assertions.substitution import channels_mentioned
 from repro.errors import BudgetExceeded, EvaluationError
 from repro.process.analysis import channel_names, uses_chan
 from repro.process.ast import Name, Process
@@ -41,8 +46,8 @@ from repro.runtime.governor import Checkpoint, Governor
 from repro.sat.counterexample import Counterexample
 from repro.semantics.config import DEFAULT_CONFIG, SemanticsConfig
 from repro.semantics.denotation import Denoter
-from repro.traces.events import Trace
-from repro.traces.histories import ChannelHistory, ch
+from repro.traces.events import Channel, Trace
+from repro.traces.histories import ch
 from repro.errors import SemanticsError
 from repro.traces.prefix_closure import FiniteClosure
 from repro.traces.snapshot import SnapshotCache, checkpoint_slot, forall_slot
@@ -449,8 +454,10 @@ class SatChecker:
         baseline: Optional[FiniteClosure] = None,
     ) -> SatResult:
         """Breadth-first trie walk with the channel history threaded down
-        each edge — one :meth:`ChannelHistory.with_appended` per *node*
-        instead of one full ``ch(s)`` pass per trace.
+        each edge — one appended message per *node* instead of one full
+        ``ch(s)`` pass per trace — judged by the formula compiled once
+        (:mod:`repro.assertions.compiled`) over a tuple of histories, one
+        slot per channel the formula names.
 
         ``baseline`` is a closure over the *same* formula/environment
         whose every trace is already verified (the previous depth of a
@@ -466,16 +473,25 @@ class SatChecker:
         base_root = baseline.root if baseline is not None else None
         if base_root is root:
             return SatResult(True, None, root.count)
-        queue: Deque[Tuple[Trace, Any, Any, ChannelHistory]] = deque(
-            [((), root, base_root, ChannelHistory())]
+        # One slot per channel of the closure the formula names; an event
+        # on any other channel cannot change the formula's value, so its
+        # child reuses the parent's tuple.
+        names = {ref.name for ref in channels_mentioned(formula)}
+        channels = sorted(
+            (c for c in closure.channels() if c.name in names), key=Channel.sort_key
+        )
+        slots = {chan: i for i, chan in enumerate(channels)}
+        holds = compile_formula(formula, self.eval_config).bind(env, slots)
+        queue: Deque[Tuple[Trace, Any, Any, tuple]] = deque(
+            [((), root, base_root, ((),) * len(channels))]
         )
         checked = 0
         while queue:
-            trace, node, base, history = queue.popleft()
+            trace, node, base, seqs = queue.popleft()
             _governor.tick()
             checked += 1
             try:
-                ok = evaluate_formula(formula, env, history, self.eval_config)
+                ok = holds(seqs)
             except EvaluationError as exc:
                 return SatResult(
                     False,
@@ -496,14 +512,16 @@ class SatChecker:
                     # every trace below holds already.  Count, don't walk.
                     checked += child.count
                     continue
-                queue.append(
-                    (
-                        trace + (event,),
-                        child,
-                        base_child,
-                        history.with_appended(event.channel, event.message),
+                slot = slots.get(event.channel)
+                if slot is None:
+                    child_seqs = seqs
+                else:
+                    child_seqs = (
+                        seqs[:slot]
+                        + (seqs[slot] + (event.message,),)
+                        + seqs[slot + 1 :]
                     )
-                )
+                queue.append((trace + (event,), child, base_child, child_seqs))
         return SatResult(True, None, checked)
 
     def _check_flat(

@@ -66,20 +66,6 @@ class ChannelHistory:
         updated[chan] = (message,) + self(chan)
         return ChannelHistory(updated)
 
-    def with_appended(self, chan: Channel, message: Message) -> "ChannelHistory":
-        """The history with ``message`` *appended* to channel ``chan`` —
-        ``ch(s⌢c.m) = ch(s)[(ch(s)(c)⌢m)/c]``, the left-to-right reading
-        of the §3.3 update.  This is the incremental step the trie-walking
-        sat checker threads down each edge, so the history of a shared
-        prefix is computed once instead of once per extending trace."""
-        updated = dict(self._sequences)
-        updated[chan] = self(chan) + (message,)
-        # Invariants hold (all values are non-empty tuples): skip the
-        # constructor's re-normalisation on this hot path.
-        result = ChannelHistory.__new__(ChannelHistory)
-        result._sequences = updated
-        return result
-
     def restrict_away(self, channels: FrozenSet[Channel]) -> "ChannelHistory":
         """Histories with the given channels' records removed — mirrors
         ``ch(s \\ C)`` (lemma (d) of §3.4)."""

@@ -76,9 +76,15 @@ class TestTraces:
         out = capsys.readouterr().out
         assert "input" in out
 
-    def test_unknown_process(self, copier_file):
-        with pytest.raises(SystemExit):
-            main(["traces", copier_file, "--process", "ghost"])
+    def test_unknown_process(self, copier_file, capsys):
+        # Exit 2 like serve's answer to an unknown process, not
+        # SystemExit(str)'s 1 ("property violated").
+        assert main(["traces", copier_file, "--process", "ghost"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: no process named 'ghost'; defined: "
+            "['copier', 'network', 'recopier']\n"
+        )
 
     def test_operational_engine(self, copier_file, capsys):
         assert (
@@ -133,18 +139,14 @@ class TestCheck:
         )
         assert code == 0
 
-    def test_bad_set_syntax(self, protocol_file):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "check",
-                    protocol_file,
-                    "--spec",
-                    "output <= input",
-                    "--set",
-                    "M",
-                ]
-            )
+    def test_bad_set_syntax(self, protocol_file, capsys):
+        code = main(
+            ["check", protocol_file, "--spec", "output <= input", "--set", "M"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --set expects NAME=v1,v2")
+        assert err.count("\n") == 1
 
 
 class TestProve:
@@ -214,6 +216,28 @@ class TestProve:
         )
         assert code == 0
         assert "sender sat" in capsys.readouterr().out
+
+
+    def test_invariant_without_equals_is_parse_exit(self, copier_file, capsys):
+        code = main(["prove", copier_file, "--invariant", "copier"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --invariant expects NAME=FORMULA")
+        assert err.count("\n") == 1
+
+    def test_unevaluable_invariant_names_the_evaluation_error(
+        self, copier_file, capsys
+    ):
+        # A number compared with a sequence errors on every instance; the
+        # failure names that error instead of guessing at host functions.
+        code = main(
+            ["prove", copier_file, "--invariant", "network=#output <= output"]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.startswith("PROOF FAILED: oracle could not evaluate")
+        assert "cannot compare 0 <= ()" in out
+        assert "host-function" not in out
 
 
 class TestSimulateAndDeadlocks:
@@ -376,6 +400,25 @@ class TestBudgetsAndExitCodes:
         bad = tmp_path / "bad.csp"
         bad.write_text("p = wire!")
         assert main(["check", str(bad), "--spec", "wire <= input"]) == 2
+
+    @pytest.mark.parametrize(
+        "command", ["traces", "check", "stats", "prove", "simulate", "deadlocks"]
+    )
+    @pytest.mark.parametrize(
+        "flag, value", [("--depth", "-1"), ("--sample", "0"), ("--depth", "deep")]
+    )
+    def test_bad_bounds_are_usage_errors(
+        self, copier_file, capsys, command, flag, value
+    ):
+        argv = [command, copier_file, flag, value]
+        if command == "check":
+            argv += ["--spec", "wire <= input"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"argument {flag}:" in err
 
     def test_debug_reraises(self, copier_file):
         with pytest.raises(Exception):
